@@ -301,13 +301,11 @@ let run_one_policy ~name ~cores ~grid ~levels ~t_max ~seq ~backend =
     stats.Core.Eval.stepup.Sched.Peak.Cache.hits
     (stats.Core.Eval.stepup.Sched.Peak.Cache.hits
     + stats.Core.Eval.stepup.Sched.Peak.Cache.misses);
-  match Core.Eval.kind ev with
-  | Core.Eval.Sparse ->
-      (* Reading the modal counters would force the dense engine the
-         sparse context exists to avoid. *)
+  match (Core.Eval.response_stats ev, Core.Eval.kind ev) with
+  | None, Core.Eval.Sparse ->
       Printf.printf "thermal eng  %s\n" (Core.Eval.backend ev).Thermal.Backend.name
-  | Core.Eval.Dense ->
-      let r = Core.Eval.response_stats ev in
+  | None, Core.Eval.Dense -> print_endline "response eng not built"
+  | Some r, _ ->
       Printf.printf
         "response eng %d build%s, %d superposition evals, exp table %d/%d hits/lookups\n"
         r.Thermal.Modal.builds
@@ -475,11 +473,22 @@ let run_scale ~sizes ~dense_limit ~power_w =
   Util.Table.print t
 
 (* Policy-search throughput sweep: run one registered policy end to end
-   on the sparse backend at each mesh size, reporting how many
-   candidates the search priced per second and where they were answered
-   (memo tables, ROM screening, superposition engine).  "Candidates"
-   counts every priced schedule: exact-tier memo lookups plus
-   ROM-screened scores. *)
+   on the sparse backend at each mesh size, reporting the answer
+   (throughput, peak, oscillation count m), what it cost (set-up —
+   platform, engine and ROM builds — beside the search's own wall time),
+   how many candidates the search priced per second and where they were
+   answered (memo tables, ROM screening, superposition engine).
+   "Candidates" counts every priced schedule: exact-tier memo lookups
+   plus ROM-screened scores. *)
+
+(* The oscillation count of the policies that choose one. *)
+let oscillation_count (o : Core.Solver.outcome) =
+  match o.Core.Solver.details with
+  | Core.Ao.Details r -> Some r.Core.Ao.m
+  | Core.Pco.Details r -> Some r.Core.Pco.m
+  | Core.Demand.Details r -> Some r.Core.Demand.m
+  | _ -> None
+
 let run_scale_policy ~name ~sizes ~levels ~t_max ~seq ~delta_margin =
   let policy = Core.Registry.find_exn name in
   Printf.printf "%s on the sparse backend — %s\n\n" policy.Core.Solver.name
@@ -487,7 +496,8 @@ let run_scale_policy ~name ~sizes ~levels ~t_max ~seq ~delta_margin =
   let t =
     Util.Table.create
       [
-        "grid"; "cores"; "wall (s)"; "cands"; "cand/s"; "cache hit";
+        "grid"; "cores"; "throughput"; "peak (C)"; "m"; "setup (s)"; "wall (s)";
+        "cands"; "cand/s"; "cache hit";
         "screen (scored->exact)"; "delta (cached/scored/exact)";
         "response (builds/superpose/solves)";
       ]
@@ -496,12 +506,21 @@ let run_scale_policy ~name ~sizes ~levels ~t_max ~seq ~delta_margin =
     (fun (rows, cols) ->
       Core.Screen.reset_stats ();
       Core.Tpt.reset_delta_stats ();
-      let platform =
-        Core.Platform.sheet ~rows ~cols ~levels:(Power.Vf.table_iv levels)
-          ~t_max ()
-      in
-      let ev =
-        Core.Eval.create ~backend:Core.Eval.Sparse ~screen_margin:0.5 platform
+      (* Set-up is everything before the search: the platform (dense
+         model assembly), the sparse engine and the ROM. *)
+      let ev, setup =
+        Util.Timer.time_it (fun () ->
+            let platform =
+              Core.Platform.sheet ~rows ~cols
+                ~levels:(Power.Vf.table_iv levels) ~t_max ()
+            in
+            let ev =
+              Core.Eval.create ~backend:Core.Eval.Sparse ~screen_margin:0.5
+                platform
+            in
+            ignore (Core.Eval.backend ev : Thermal.Backend.t);
+            ignore (Core.Eval.screening ev : float option);
+            ev)
       in
       let params =
         {
@@ -545,6 +564,10 @@ let run_scale_policy ~name ~sizes ~levels ~t_max ~seq ~delta_margin =
         [
           Printf.sprintf "%dx%d" rows cols;
           string_of_int (rows * cols);
+          Printf.sprintf "%.10f" o.Core.Solver.throughput;
+          Printf.sprintf "%.6f" o.Core.Solver.peak;
+          (match oscillation_count o with Some m -> string_of_int m | None -> "-");
+          Printf.sprintf "%.3f" setup;
           Printf.sprintf "%.3f" o.Core.Solver.wall_time;
           string_of_int cands;
           (if o.Core.Solver.wall_time > 0. then
@@ -697,7 +720,20 @@ let () =
          Frequency Oscillation on Temperature Constrained Multi-core Processors' \
          (ICPP 2016)"
   in
+  let cmd =
+    Cmd.group info
+      (List.map cmd_of_experiment experiments @ [ policies_cmd; scale_cmd; all ])
+  in
+  (* A rejected input (NaN or out-of-range threshold, unsupported size)
+     surfaces as [Invalid_argument] from the library's boundary checks:
+     report it as one line and fail, not as an internal error. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          (List.map cmd_of_experiment experiments @ [ policies_cmd; scale_cmd; all ])))
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception Invalid_argument msg ->
+        Printf.eprintf "fosc-experiments: %s\n%!" msg;
+        Cmd.Exit.some_error
+    | exception e ->
+        Printf.eprintf "fosc-experiments: internal error, uncaught exception:\n%s\n%!"
+          (Printexc.to_string e);
+        Cmd.Exit.internal_error)

@@ -142,12 +142,15 @@ let solve ?eval ?(base_period = 0.1) ?(m_cap = 512) ?t_unit ?(fill = false)
     | `Bisection -> Tpt.adjust_by_bisection p ?eval config0
   in
   (* Theorem 1 is only approximate under strong coupling: re-verify with
-     the dense evaluator and, if the cheap search undershot, keep
-     adjusting against the dense peak (a no-op when already feasible). *)
-  (* The safety pass stays exact: [dense:true] disables the delta tier
-     anyway (its evaluators only price the aligned fused path). *)
+     a full scan and, if the cheap search undershot, keep adjusting
+     against the scanned peak (a no-op when already feasible).  The
+     scan runs on the context's exact engine — the modal engine on a
+     dense context (bit-identical to an eval-less scan), the Krylov one
+     on a sparse context, which therefore never pays the eigensolve.
+     [dense:true] disables the delta tier anyway (its evaluators only
+     price the aligned fused path). *)
   let config, safety_steps =
-    if Tpt.peak p ~dense:true config > p.t_max +. 1e-9 then
+    if Tpt.peak p ?eval ~dense:true config > p.t_max +. 1e-9 then
       Tpt.adjust_to_constraint p ?eval ?t_unit ~dense:true ~par config
     else (config, 0)
   in

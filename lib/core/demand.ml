@@ -87,7 +87,9 @@ let solve ?eval ?(base_period = 0.1) ?(m_cap = 512) ?(par = true) (p : Platform.
   done;
   let config = config_for !best_m in
   let schedule = Tpt.schedule_of_config config in
-  let peak = Tpt.peak p ~dense:true config in
+  (* Final verification by a full scan on the context's exact engine
+     (modal on dense, Krylov on sparse — no eigensolve there). *)
+  let peak = Tpt.peak p ?eval ~dense:true config in
   {
     feasible = peak <= p.t_max +. 1e-9;
     schedule;

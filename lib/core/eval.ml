@@ -240,7 +240,13 @@ let sparse_response_stats t =
         Some (Thermal.Sparse_response.stats (Util.Once.get t.response))
       else None
 
-let response_stats t = Thermal.Modal.stats (Util.Once.get t.engine)
+let response_stats t =
+  match t.kind with
+  | Sparse -> None
+  | Dense ->
+      if Util.Once.is_forced t.engine then
+        Some (Thermal.Modal.stats (Util.Once.get t.engine))
+      else None
 
 let hit_rate t =
   let s = stats t in

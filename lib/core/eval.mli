@@ -212,13 +212,15 @@ val stats : t -> stats
     response engine has actually been built (never forces it). *)
 val sparse_response_stats : t -> Thermal.Sparse_response.stats option
 
-(** [response_stats t] snapshots the response-engine counters
+(** [response_stats t] snapshots the modal response-engine counters
     (superposition evaluations, decay-table hits/misses, and the
-    process-wide engine build count).  Engines are shared per model, so
-    the per-engine counters reflect every evaluation on this platform
-    since its engine was built, not just this context's.  Forces the
-    engine if it has not been used yet. *)
-val response_stats : t -> Thermal.Modal.stats
+    process-wide engine build count) — [Some] only for a [Dense] context
+    whose engine has actually been built (never forces it, so asking a
+    [Sparse] context costs no eigensolve; see {!sparse_response_stats}
+    for its engine).  Engines are shared per model, so the per-engine
+    counters reflect every evaluation on this platform since its engine
+    was built, not just this context's. *)
+val response_stats : t -> Thermal.Modal.stats option
 
 (** [hit_rate t] is the fraction of all lookups (both tables) answered
     from cache, 0 when nothing has been looked up. *)

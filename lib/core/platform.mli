@@ -16,8 +16,8 @@ type t = {
 (** [make ?power ?tau ~levels ~t_max model] assembles a platform.
     Defaults: [power = Power.Power_model.default], [tau = 5e-6] (the
     paper's 5 us switching overhead).  Raises [Invalid_argument] when
-    [t_max] does not exceed the model's ambient temperature or [tau] is
-    negative. *)
+    [t_max] is not a finite value above the model's ambient temperature
+    or [tau] is not a finite non-negative value (NaN fails both). *)
 val make :
   ?power:Power.Power_model.t ->
   ?tau:float ->
@@ -47,7 +47,9 @@ val grid :
     an [8x8] grid is a 64-node problem — the scaling-study geometry the
     sparse backend and the response-engine search tiers are sized for,
     three times smaller than {!grid}'s core-level HotSpot stack at equal
-    core count. *)
+    core count.  The dense model it carries is assembled and
+    LU-factorized but not diagonalized: a [Sparse] {!Eval} context never
+    forces the eigensolve, a [Dense] one pays it on first engine use. *)
 val sheet :
   ?power:Power.Power_model.t ->
   ?tau:float ->

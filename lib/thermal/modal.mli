@@ -1,8 +1,9 @@
 (** Modal (eigenbasis) thermal evaluation engine — the hot path behind
     {!Matex}, {!Sched.Peak} and {!Runtime.Governor}.
 
-    {!Model.make} already diagonalizes [A = W diag(lambda) W^{-1}] with
-    real negative [lambda], so the whole simulation can run in modal
+    {!Model.t} diagonalizes [A = W diag(lambda) W^{-1}] with real
+    negative [lambda] on first modal use ({!make} is that use, paid once
+    per model), so the whole simulation can run in modal
     coordinates [z = W^{-1} theta], where propagating over ANY [dt] is an
     O(n) diagonal scale:
 
@@ -48,9 +49,10 @@ type stats = {
   delta_evals : int;  (** Delta candidate evaluations. *)
 }
 
-(** [make model] returns the engine of [model], building it (one LU
-    solve per core for the unit-response table) on first use and
-    returning the cached engine afterwards — amortized O(1). *)
+(** [make model] returns the engine of [model], building it (the
+    model's eigenbasis if not yet built, then one LU solve per core for
+    the unit-response table) on first use and returning the cached
+    engine afterwards — amortized O(1). *)
 val make : Model.t -> t
 
 (** [model t] is the underlying thermal model. *)

@@ -6,6 +6,9 @@ module Vec = Linalg.Vec
    on [cache_cond] instead of duplicating the O(n^3) build. *)
 type propagator_slot = Built of Mat.t | Building
 
+(* Eigen cache: A = w diag(lambda) w_inv with real negative lambda. *)
+type modal = { lambda : Vec.t; w : Mat.t; w_inv : Mat.t }
+
 type t = {
   ambient : float;
   leak_beta : float;
@@ -15,10 +18,11 @@ type t = {
   g_eff : Mat.t; (* G' = G - beta E, the effective conductance *)
   g_eff_lu : Linalg.Lu.factorization;
   a : Mat.t;
-  (* Eigen cache: A = w diag(lambda) w_inv with real negative lambda. *)
-  lambda : Vec.t;
-  w : Mat.t;
-  w_inv : Mat.t;
+  modal : modal Util.Once.t;
+      (* The eigenbasis, built on first modal use.  Only the MatEx paths
+         (propagators, the modal engine, eigen queries) need it; a model
+         behind a sparse context answers everything from [g_eff_lu] and
+         never pays the O(n^3) Jacobi sweeps. *)
   (* Propagator memo: e^{A dt} keyed by the bits of dt.  The policy loops
      (AO's m sweep, the TPT adjustment, peak scans) reuse a handful of
      interval lengths thousands of times.  Guarded by a mutex so models
@@ -33,6 +37,16 @@ type t = {
   cache_cond : Condition.t;
 }
 
+let not_pd_msg =
+  "Model.make: G - beta*E is not positive definite (leakage-driven thermal runaway \
+   or an ungrounded network)"
+
+(* The symmetrized system M = C^{-1/2} G' C^{-1/2}. *)
+let symmetrized ~capacitance g_eff =
+  let n = Vec.dim capacitance in
+  let c_sqrt_inv = Vec.map (fun c -> 1. /. sqrt c) capacitance in
+  Mat.init n n (fun i j -> c_sqrt_inv.(i) *. Mat.get g_eff i j *. c_sqrt_inv.(j))
+
 let make ~ambient ~leak_beta ~capacitance ~conductance ~core_nodes () =
   let n = Vec.dim capacitance in
   if conductance.Mat.rows <> n || conductance.Mat.cols <> n then
@@ -41,7 +55,14 @@ let make ~ambient ~leak_beta ~capacitance ~conductance ~core_nodes () =
     invalid_arg "Model.make: conductance matrix must be symmetric";
   if not (Vec.for_all (fun c -> c > 0.) capacitance) then
     invalid_arg "Model.make: capacitances must be positive";
-  if leak_beta < 0. then invalid_arg "Model.make: negative leakage slope";
+  if not (leak_beta >= 0.) then
+    invalid_arg "Model.make: leakage slope must be non-negative";
+  if not (Float.is_finite ambient) then invalid_arg "Model.make: non-finite ambient";
+  if not (Array.for_all Float.is_finite conductance.Mat.data) then
+    invalid_arg "Model.make: conductance entries must be finite";
+  (* Private copy: the deferred eigensolve below reads it long after the
+     caller may have reused its array. *)
+  let capacitance = Vec.copy capacitance in
   let is_core = Array.make n false in
   Array.iter
     (fun i ->
@@ -55,37 +76,41 @@ let make ~ambient ~leak_beta ~capacitance ~conductance ~core_nodes () =
         let g = Mat.get conductance i j in
         if i = j && is_core.(i) then g -. leak_beta else g)
   in
-  (* Diagonalize the symmetrized system: M = C^{-1/2} G' C^{-1/2}. *)
-  let c_sqrt_inv = Vec.map (fun c -> 1. /. sqrt c) capacitance in
-  let c_sqrt = Vec.map sqrt capacitance in
-  let m_sym =
-    Mat.init n n (fun i j -> c_sqrt_inv.(i) *. Mat.get g_eff i j *. c_sqrt_inv.(j))
+  (* G' is positive definite iff its congruent M = C^{-1/2} G' C^{-1/2}
+     is; one Cholesky attempt on M certifies it at construction, so a
+     runaway or ungrounded network (or a NaN leakage slope) is rejected
+     here even though the eigensolve below is deferred. *)
+  (match Linalg.Cholesky.factorize (symmetrized ~capacitance g_eff) with
+  | _ -> ()
+  | exception Linalg.Cholesky.Not_positive_definite _ -> invalid_arg not_pd_msg);
+  let modal =
+    Util.Once.make (fun () ->
+        let eig = Linalg.Sym_eig.decompose (symmetrized ~capacitance g_eff) in
+        if not (Vec.for_all (fun mu -> mu > 0.) eig.Linalg.Sym_eig.eigenvalues) then
+          invalid_arg not_pd_msg;
+        (* A = C^{-1/2} (-M) C^{1/2}  =>  W = C^{-1/2} V, W^{-1} = V^T C^{1/2}. *)
+        let c_sqrt_inv = Vec.map (fun c -> 1. /. sqrt c) capacitance in
+        let c_sqrt = Vec.map sqrt capacitance in
+        let v = eig.Linalg.Sym_eig.eigenvectors in
+        {
+          lambda = Vec.map (fun mu -> -.mu) eig.Linalg.Sym_eig.eigenvalues;
+          w = Mat.init n n (fun i j -> c_sqrt_inv.(i) *. Mat.get v i j);
+          w_inv = Mat.init n n (fun i j -> Mat.get v j i *. c_sqrt.(j));
+        })
   in
-  let eig = Linalg.Sym_eig.decompose m_sym in
-  if not (Vec.for_all (fun mu -> mu > 0.) eig.Linalg.Sym_eig.eigenvalues) then
-    invalid_arg
-      "Model.make: G - beta*E is not positive definite (leakage-driven thermal runaway \
-       or an ungrounded network)";
-  (* A = C^{-1/2} (-M) C^{1/2}  =>  W = C^{-1/2} V, W^{-1} = V^T C^{1/2}. *)
-  let v = eig.Linalg.Sym_eig.eigenvectors in
-  let lambda = Vec.map (fun mu -> -.mu) eig.Linalg.Sym_eig.eigenvalues in
-  let w = Mat.init n n (fun i j -> c_sqrt_inv.(i) *. Mat.get v i j) in
-  let w_inv = Mat.init n n (fun i j -> Mat.get v j i *. c_sqrt.(j)) in
   let a =
     Mat.init n n (fun i j -> -.(Mat.get g_eff i j) /. capacitance.(i))
   in
   {
     ambient;
     leak_beta;
-    capacitance = Vec.copy capacitance;
+    capacitance;
     core_nodes = Array.copy core_nodes;
     is_core;
     g_eff;
     g_eff_lu = Linalg.Lu.factorize g_eff;
     a;
-    lambda;
-    w;
-    w_inv;
+    modal;
     propagator_cache = Hashtbl.create 64;
     cache_order = Queue.create ();
     cache_lock = Mutex.create ();
@@ -133,10 +158,11 @@ let max_core_temp m theta =
 
 let compute_propagator m dt =
   let n = n_nodes m in
-  let e = Vec.map (fun l -> exp (l *. dt)) m.lambda in
+  let { lambda; w; w_inv } = Util.Once.get m.modal in
+  let e = Vec.map (fun l -> exp (l *. dt)) lambda in
   (* W diag(e) W^{-1} without forming the diagonal matrix. *)
-  let scaled = Mat.init n n (fun i j -> Mat.get m.w i j *. e.(j)) in
-  Mat.matmul scaled m.w_inv
+  let scaled = Mat.init n n (fun i j -> Mat.get w i j *. e.(j)) in
+  Mat.matmul scaled w_inv
 
 let cache_capacity = 512
 
@@ -207,10 +233,10 @@ let step m ~dt ~theta ~psi =
   let p = propagator m dt in
   Vec.add (Mat.matvec p (Vec.sub theta tinf)) tinf
 
-let eigenvalues m = Vec.copy m.lambda
+let eigenvalues m = Vec.copy (Util.Once.get m.modal).lambda
 
 let time_constants m =
-  let tc = Vec.map (fun l -> -1. /. l) m.lambda in
+  let tc = Vec.map (fun l -> -1. /. l) (Util.Once.get m.modal).lambda in
   Array.sort (fun a b -> Float.compare b a) tc;
   tc
 
@@ -275,11 +301,17 @@ let solve_mixed m constraints =
   let temps = Array.map (fun th -> th +. m.ambient) theta in
   (psi, temps)
 
-let eigenbasis m = (Vec.copy m.lambda, Mat.copy m.w, Mat.copy m.w_inv)
+let eigenbasis m =
+  let { lambda; w; w_inv } = Util.Once.get m.modal in
+  (Vec.copy lambda, Mat.copy w, Mat.copy w_inv)
 
 (* Zero-copy view of the eigendata for Modal; the arrays are shared with
    the model and must be treated as read-only. *)
-let modal_parts m = (m.lambda, m.w, m.w_inv)
+let modal_parts m =
+  let { lambda; w; w_inv } = Util.Once.get m.modal in
+  (lambda, w, w_inv)
+
+let decomposed m = Util.Once.is_forced m.modal
 
 let solve_powers_for_uniform_core_temp m t_target =
   fst (solve_mixed m (Array.make (n_cores m) (Pinned_temperature t_target)))

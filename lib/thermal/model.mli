@@ -9,18 +9,29 @@
     definite matrix, so it is diagonalized once ([A = W D W^{-1}] with
     real negative [D]) and every matrix exponential afterwards costs two
     small matrix products — the MatEx trick of the paper's reference
-    [28]. *)
+    [28].  The diagonalization is deferred to the first call that needs
+    it ({!propagator}, {!modal_parts}, {!eigenvalues}, {!eigenbasis},
+    {!time_constants} and everything built on them): steady states and
+    {!solve_mixed} run off an LU factorization of [G - beta E], so a
+    model that only ever backs a sparse context never pays the O(n^3)
+    eigensolve. *)
 
 type t
 
 (** [make ~ambient ~leak_beta ~capacitance ~conductance ~core_nodes ()]
-    assembles and diagonalizes the model.  [capacitance] is the diagonal
-    of [C] (J/K, all positive); [conductance] is the symmetric [G] from
+    assembles the model and LU-factorizes [G - beta E]; it does not
+    diagonalize ([A]'s eigenbasis is built on first modal use, once,
+    domain-safely).  [capacitance] is the diagonal of [C] (J/K, all
+    positive); [conductance] is the symmetric [G] from
     {!Rc_network.conductance_matrix}; [core_nodes] lists the node indices
     that host cores (power inputs and temperature constraints).  Raises
-    [Invalid_argument] on dimension mismatches, a non-symmetric [G], or a
-    [leak_beta] so large that [G - beta E] loses positive definiteness
-    (thermal runaway). *)
+    [Invalid_argument] on dimension mismatches, a non-symmetric or
+    non-finite [G], a non-finite ambient, a negative or NaN [leak_beta],
+    or a [G - beta E] that is not positive definite — leakage-driven
+    thermal runaway or an ungrounded network, certified by one Cholesky
+    attempt ({!Linalg.Cholesky}) at construction.  Because the eigensolve
+    is deferred, a {!Linalg.Sym_eig} non-convergence [Failure] now
+    surfaces on the first modal use instead of here. *)
 val make :
   ambient:float ->
   leak_beta:float ->
@@ -133,9 +144,15 @@ val eigenbasis : t -> Linalg.Vec.t * Linalg.Mat.t * Linalg.Mat.t
 
 (** [modal_parts m] is [(lambda, w, w_inv)] like {!eigenbasis} but
     WITHOUT copying: the returned arrays are the model's own and must be
-    treated as read-only.  O(1); this is what lets {!Modal.make} build an
-    evaluation engine for free on every call. *)
+    treated as read-only.  O(1) once the eigenbasis exists (the first
+    call on a model builds it); this is what lets {!Modal.make} build an
+    evaluation engine for free on every later call. *)
 val modal_parts : t -> Linalg.Vec.t * Linalg.Mat.t * Linalg.Mat.t
+
+(** [decomposed m] is [true] once [m]'s eigenbasis has been built — a
+    read of the deferred cell that never forces it.  Tests use it to
+    prove a sparse-context solve skipped the dense eigensolve. *)
+val decomposed : t -> bool
 
 (** [integrate_theta m ~dt ~theta ~psi] is the exact time integral
     [int_0^dt theta(s) ds] of the ambient-relative temperatures under

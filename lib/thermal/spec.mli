@@ -58,6 +58,9 @@ val n_cores : t -> int
     {!Linalg.Sparse.of_triplets} — O(nnz), no dense intermediate. *)
 val g_eff_triplets : t -> (int * int * float) list
 
-(** [to_model spec] assembles the dense {!Model.t} of the same problem
-    (including its O(n³) eigensolve) — the reference path. *)
+(** [to_model spec] assembles the dense {!Model.t} of the same problem —
+    the reference path.  O(n²) assembly plus an O(n³) LU factorization
+    and Cholesky definiteness check; the eigensolve is deferred until a
+    dense engine first needs it, so a model that only backs a sparse
+    context never pays it. *)
 val to_model : t -> Model.t

@@ -25,6 +25,32 @@ let test_platform_validation () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* NaN and infinities are rejected at the boundary, not carried into a
+   solve that would print a NaN throughput and succeed. *)
+let test_platform_rejects_non_finite () =
+  let model =
+    Thermal.Hotspot.core_level
+      (Thermal.Floorplan.grid ~rows:1 ~cols:2 ~core_width:4e-3 ~core_height:4e-3)
+  in
+  let rejected ?tau t_max =
+    match P.make ?tau ~levels:(Power.Vf.table_iv 2) ~t_max model with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "t_max nan" true (rejected Float.nan);
+  Alcotest.(check bool) "t_max +inf" true (rejected Float.infinity);
+  Alcotest.(check bool) "t_max -inf" true (rejected Float.neg_infinity);
+  Alcotest.(check bool) "tau nan" true (rejected ~tau:Float.nan 65.);
+  Alcotest.(check bool) "tau +inf" true (rejected ~tau:Float.infinity 65.);
+  Alcotest.(check bool) "tau negative" true (rejected ~tau:(-1e-6) 65.);
+  Alcotest.(check bool) "finite inputs accepted" false (rejected ~tau:0. 65.);
+  Alcotest.(check bool) "sheet t_max nan" true
+    (match
+       P.sheet ~rows:2 ~cols:2 ~levels:(Power.Vf.table_iv 2) ~t_max:Float.nan ()
+     with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
 let test_platform_infeasible_detected () =
   (* A 1-degree margin above ambient is below even the all-low steady state. *)
   let p = Workload.Configs.platform ~cores:3 ~levels:2 ~t_max:36. in
@@ -378,6 +404,8 @@ let () =
         [
           Alcotest.test_case "construction" `Quick test_platform_construction;
           Alcotest.test_case "validation" `Quick test_platform_validation;
+          Alcotest.test_case "non-finite inputs rejected" `Quick
+            test_platform_rejects_non_finite;
           Alcotest.test_case "infeasible detection" `Quick test_platform_infeasible_detected;
         ] );
       ( "ideal",

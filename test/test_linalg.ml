@@ -4,6 +4,7 @@ module Vec = Linalg.Vec
 module Mat = Linalg.Mat
 module Lu = Linalg.Lu
 module Sym_eig = Linalg.Sym_eig
+module Cholesky = Linalg.Cholesky
 module Expm = Linalg.Expm
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -130,6 +131,45 @@ let test_lu_singular_raises () =
   let s = Mat.of_rows [| [| 1.; 2. |]; [| 2.; 4. |] |] in
   Alcotest.(check bool) "raises Singular" true
     (match Lu.factorize s with exception Lu.Singular _ -> true | _ -> false)
+
+(* ------------------------------------------------------------- Cholesky *)
+
+let chol_rejects a =
+  match Cholesky.factorize a with
+  | exception Cholesky.Not_positive_definite _ -> true
+  | _ -> false
+
+let test_chol_spd () =
+  let a =
+    Mat.of_rows [| [| 4.; 2.; -2. |]; [| 2.; 10.; 2. |]; [| -2.; 2.; 5. |] |]
+  in
+  let l = Cholesky.factorize a in
+  mat_close "L L^T = A" a (Mat.matmul l (Mat.transpose l));
+  for i = 0 to 2 do
+    for j = i + 1 to 2 do
+      check_float "upper triangle zero" 0. (Mat.get l i j)
+    done;
+    Alcotest.(check bool) "positive diagonal" true (Mat.get l i i > 0.)
+  done
+
+let test_chol_rejects () =
+  Alcotest.(check bool) "indefinite" true
+    (chol_rejects (Mat.of_rows [| [| 1.; 2. |]; [| 2.; 1. |] |]));
+  Alcotest.(check bool) "negative definite" true
+    (chol_rejects (Mat.of_rows [| [| -1.; 0. |]; [| 0.; -1. |] |]));
+  Alcotest.(check bool) "singular" true
+    (chol_rejects (Mat.of_rows [| [| 1.; 1. |]; [| 1.; 1. |] |]));
+  Alcotest.(check bool) "singular up to rounding" true
+    (chol_rejects
+       (Mat.of_rows
+          [| [| 0.3; -0.3; 0. |]; [| -0.3; 1.4; -1.1 |]; [| 0.; -1.1; 1.1 |] |]));
+  Alcotest.(check bool) "NaN off-diagonal" true
+    (chol_rejects (Mat.of_rows [| [| 2.; Float.nan |]; [| Float.nan; 2. |] |]));
+  Alcotest.(check bool) "NaN diagonal" true
+    (chol_rejects (Mat.of_rows [| [| Float.nan; 0. |]; [| 0.; 2. |] |]));
+  Alcotest.check_raises "non-square"
+    (Invalid_argument "Cholesky.factorize: matrix not square") (fun () ->
+      ignore (Cholesky.factorize (Mat.zeros 2 3)))
 
 let test_lu_pivoting () =
   (* Requires row exchange: leading zero pivot. *)
@@ -305,6 +345,12 @@ let () =
           Alcotest.test_case "singular raises" `Quick test_lu_singular_raises;
           Alcotest.test_case "pivoting" `Quick test_lu_pivoting;
           Alcotest.test_case "matrix rhs" `Quick test_lu_solve_mat;
+        ] );
+      ( "cholesky",
+        [
+          Alcotest.test_case "SPD accepted" `Quick test_chol_spd;
+          Alcotest.test_case "indefinite, singular and NaN rejected" `Quick
+            test_chol_rejects;
         ] );
       ( "sym_eig",
         [

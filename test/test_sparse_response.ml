@@ -308,6 +308,72 @@ let test_screened_ao_matches_unscreened () =
   Alcotest.(check bool) "same throughput" true
     (Float.equal exhaustive.Core.Ao.throughput screened.Core.Ao.throughput)
 
+(* The sparse fast path never diagonalizes: AO and Demand run end to
+   end on a Sparse context (final safety/verification scans included)
+   without forcing the platform model's eigenbasis, and agree with the
+   same searches on a Dense context — same m, same config, peaks within
+   1e-9.  "Same config" is up to the sheet's mirror symmetry: mirrored
+   cores tie exactly in exact arithmetic, and the two engines' last-bit
+   differences may break a TPT tie the other way, so AO's high times
+   are compared as a sorted multiset, and the sparse config is also
+   re-priced on the dense engine.  AO runs on the delta tier at the
+   CLI's 1 K margin, which keeps the exact Krylov solves (and the test)
+   short.  Each context gets its own platform so the dense run cannot
+   force the sparse one's model. *)
+let sheet6 () =
+  Core.Platform.sheet ~rows:6 ~cols:6 ~levels:(Power.Vf.table_iv 5) ~t_max:65. ()
+
+let same_config msg (a : Core.Tpt.config) (b : Core.Tpt.config) =
+  let arr = Alcotest.(array (float 0.)) in
+  let sorted x =
+    let y = Array.copy x in
+    Array.sort Float.compare y;
+    y
+  in
+  Alcotest.(check (float 0.)) (msg ^ ": period") a.period b.period;
+  Alcotest.check arr (msg ^ ": v_low") a.v_low b.v_low;
+  Alcotest.check arr (msg ^ ": v_high") a.v_high b.v_high;
+  Alcotest.(check (array (float 1e-12))) (msg ^ ": sorted high times")
+    (sorted a.high_time) (sorted b.high_time);
+  Alcotest.check arr (msg ^ ": offset") a.offset b.offset
+
+let test_sparse_context_skips_eigensolve () =
+  let sparse_p = sheet6 () and dense_p = sheet6 () in
+  let model (p : Core.Platform.t) = p.Core.Platform.model in
+  let sparse =
+    Core.Eval.create ~backend:Core.Eval.Sparse ~screen_margin:0.5 sparse_p
+  in
+  let dense = Core.Eval.create dense_p in
+  let ao_s = Core.Ao.solve ~eval:sparse ~delta_margin:1.0 sparse_p in
+  let demands = ao_s.Core.Ao.ideal.Core.Ideal.voltages in
+  let dm_s = Core.Demand.solve ~eval:sparse sparse_p ~demands in
+  Alcotest.(check bool) "sparse model still undecomposed" false
+    (Thermal.Model.decomposed (model sparse_p));
+  Alcotest.(check bool) "no response stats on a sparse context" true
+    (Option.is_none (Core.Eval.response_stats sparse));
+  Alcotest.(check bool) "dense model undecomposed before engine use" false
+    (Thermal.Model.decomposed (model dense_p));
+  ignore (Core.Eval.engine dense : Thermal.Modal.t);
+  Alcotest.(check bool) "dense engine forces the eigensolve" true
+    (Thermal.Model.decomposed (model dense_p));
+  let ao_d = Core.Ao.solve ~eval:dense ~delta_margin:1.0 dense_p in
+  let dm_d = Core.Demand.solve ~eval:dense dense_p ~demands in
+  Alcotest.(check int) "AO m" ao_d.Core.Ao.m ao_s.Core.Ao.m;
+  same_config "AO" ao_d.Core.Ao.config ao_s.Core.Ao.config;
+  Alcotest.(check (float 1e-9)) "AO peak" ao_d.Core.Ao.peak ao_s.Core.Ao.peak;
+  Alcotest.(check (float 1e-12)) "AO throughput" ao_d.Core.Ao.throughput
+    ao_s.Core.Ao.throughput;
+  Alcotest.(check (float 1e-9)) "sparse AO config re-priced densely"
+    ao_s.Core.Ao.peak
+    (Core.Tpt.peak dense_p ~eval:dense ao_s.Core.Ao.config);
+  Alcotest.(check int) "Demand m" dm_d.Core.Demand.m dm_s.Core.Demand.m;
+  Alcotest.(check bool) "Demand verdict" dm_d.Core.Demand.feasible
+    dm_s.Core.Demand.feasible;
+  Alcotest.(check (array (float 0.))) "Demand delivered speeds"
+    dm_d.Core.Demand.delivered dm_s.Core.Demand.delivered;
+  Alcotest.(check (float 1e-9)) "Demand peak" dm_d.Core.Demand.peak
+    dm_s.Core.Demand.peak
+
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
@@ -342,5 +408,10 @@ let () =
             test_screen_nan_score_survives;
           Alcotest.test_case "screened AO = unscreened AO" `Quick
             test_screened_ao_matches_unscreened;
+        ] );
+      ( "fast-path",
+        [
+          Alcotest.test_case "sparse AO/Demand skip the eigensolve" `Quick
+            test_sparse_context_skips_eigensolve;
         ] );
     ]

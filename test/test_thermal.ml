@@ -200,6 +200,67 @@ let test_model_runaway_rejected () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* Construction certifies definiteness with one Cholesky attempt, not
+   the (deferred) eigensolve, so every rejection below happens inside
+   [Model.make]. *)
+let rejected_at_make ?(leak_beta = 0.) ~capacitance conductance =
+  match
+    Model.make ~ambient:35. ~leak_beta ~capacitance ~conductance
+      ~core_nodes:[| 0 |] ()
+  with
+  | exception Invalid_argument _ -> true
+  | _ -> false
+
+(* A four-node chain with uneven values and no path to ambient: G is a
+   singular Laplacian, so only rounding separates its last Cholesky
+   pivot from zero — at zero leakage, the hardest case to reject. *)
+let ungrounded_chain () =
+  let net = Rc.create () in
+  let caps = [| 0.7; 1.9; 3.1; 0.45 |] in
+  let ids =
+    Array.mapi
+      (fun i c -> Rc.add_node net ~name:(string_of_int i) ~capacitance:c ~to_ambient:0.)
+      caps
+  in
+  Rc.connect net ids.(0) ids.(1) 0.37;
+  Rc.connect net ids.(1) ids.(2) 1.3;
+  Rc.connect net ids.(2) ids.(3) 0.11;
+  net
+
+let test_model_ungrounded_rejected () =
+  let net = ungrounded_chain () in
+  let capacitance = Rc.capacitance_vector net and g = Rc.conductance_matrix net in
+  Alcotest.(check bool) "ungrounded, no leakage" true
+    (rejected_at_make ~capacitance g);
+  Alcotest.(check bool) "ungrounded, with leakage" true
+    (rejected_at_make ~leak_beta:0.05 ~capacitance g)
+
+let test_model_nan_rejected () =
+  let net = ungrounded_chain () in
+  Rc.add_to_ambient net 3 0.2;
+  let capacitance = Rc.capacitance_vector net in
+  let g = Rc.conductance_matrix net in
+  Alcotest.(check bool) "grounded chain accepted" false
+    (rejected_at_make ~capacitance g);
+  let g_nan = Mat.copy g in
+  Mat.set g_nan 1 2 Float.nan;
+  Mat.set g_nan 2 1 Float.nan;
+  Alcotest.(check bool) "NaN conductance entry" true
+    (rejected_at_make ~capacitance g_nan);
+  Alcotest.(check bool) "NaN leakage slope" true
+    (rejected_at_make ~leak_beta:Float.nan ~capacitance g)
+
+(* Steady states run off the LU factorization; only modal queries build
+   the eigenbasis. *)
+let test_model_eigensolve_deferred () =
+  let m = model3 () in
+  ignore (Model.steady_core_temps m (psi_vec [| 1.; 1.; 1. |]) : Vec.t);
+  Alcotest.(check bool) "undecomposed after a steady solve" false
+    (Model.decomposed m);
+  ignore (Model.eigenvalues m : Vec.t);
+  Alcotest.(check bool) "decomposed after an eigen query" true
+    (Model.decomposed m)
+
 let test_layered_model_close_to_core_level () =
   let layered = Thermal.Hotspot.layered grid3 in
   let psi = psi_vec [| 1.3; 1.3; 1.3 |] in
@@ -596,6 +657,9 @@ let () =
           Alcotest.test_case "uniform temp solve" `Quick test_model_solve_uniform_temp_roundtrip;
           Alcotest.test_case "mixed solve" `Quick test_model_solve_mixed;
           Alcotest.test_case "runaway rejected" `Quick test_model_runaway_rejected;
+          Alcotest.test_case "ungrounded rejected" `Quick test_model_ungrounded_rejected;
+          Alcotest.test_case "NaN rejected" `Quick test_model_nan_rejected;
+          Alcotest.test_case "eigensolve deferred" `Quick test_model_eigensolve_deferred;
           Alcotest.test_case "layered variant" `Quick test_layered_model_close_to_core_level;
           Alcotest.test_case "3d stacking penalty" `Quick test_3d_upper_layer_hotter;
           Alcotest.test_case "integrate_theta quadrature" `Quick
