@@ -156,6 +156,50 @@ let tests () =
                  Linalg.Mat.get a9 i j +. Linalg.Mat.get a9 j i)
            in
            ignore (Linalg.Sym_eig.decompose sym)));
+    (* The small eigensolve behind every Krylov checkpoint, on the
+       32-step Lanczos tridiagonal T_32 of the 8x8 sheet operator (fully
+       reorthogonalized, as Linalg.Krylov builds it): QL straight off
+       the recurrence coefficients vs dense cyclic Jacobi on the same
+       matrix.  Their ratio is the per-checkpoint win behind the sheet
+       workloads' stable-solve and ROM-build times. *)
+    (let m = 32 in
+     let op =
+       Thermal.Sparse_model.operator
+         (Thermal.Sparse_model.of_spec
+            (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ()))
+     in
+     let n, _ = Linalg.Sparse.dims op in
+     let alpha = Array.make m 0. and beta = Array.make m 0. in
+     let qs = Array.make (m + 1) [||] in
+     let v0 = Linalg.Vec.init n (fun i -> 1. +. (float_of_int i /. float_of_int n)) in
+     qs.(0) <- Linalg.Vec.scale (1. /. Linalg.Vec.norm2 v0) v0;
+     for j = 0 to m - 1 do
+       let u = Linalg.Sparse.spmv op qs.(j) in
+       alpha.(j) <- Linalg.Vec.dot u qs.(j);
+       for _pass = 1 to 2 do
+         for i = 0 to j do
+           let c = Linalg.Vec.dot u qs.(i) in
+           Array.iteri (fun l q -> u.(l) <- u.(l) -. (c *. q)) qs.(i)
+         done
+       done;
+       beta.(j) <- Linalg.Vec.norm2 u;
+       qs.(j + 1) <- Linalg.Vec.scale (1. /. beta.(j)) u
+     done;
+     let dense =
+       Linalg.Mat.init m m (fun i j ->
+           if i = j then alpha.(i)
+           else if j = i + 1 then beta.(i)
+           else if i = j + 1 then beta.(j)
+           else 0.)
+     in
+     Test.make_grouped ~name:"kernel/tridiag-eig-32"
+       [
+         Test.make ~name:"ql"
+           (Staged.stage (fun () ->
+                ignore (Linalg.Tridiag_eig.decompose ~alpha ~beta m)));
+         Test.make ~name:"jacobi"
+           (Staged.stage (fun () -> ignore (Linalg.Sym_eig.decompose dense)));
+       ]);
     Test.make ~name:"kernel/steady-state-9core"
       (Staged.stage (fun () ->
            ignore (Thermal.Model.steady_core_temps model9 (Array.make 9 15.))));

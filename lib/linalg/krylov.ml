@@ -148,21 +148,14 @@ let lanczos_step ~apply st =
     st.steps <- j + 1
   end
 
-let tridiagonal st m =
-  let t = Mat.zeros m m in
-  for i = 0 to m - 1 do
-    Mat.set t i i st.alpha.(i);
-    if i < m - 1 && not (Float.equal st.beta.(i) 0.) then begin
-      Mat.set t i (i + 1) st.beta.(i);
-      Mat.set t (i + 1) i st.beta.(i)
-    end
-  done;
-  t
+(* Exact eigendecomposition of the projection T_m, straight from the
+   recurrence coefficients (a zero [beta] is an exact split). *)
+let tridiag_eig st m = Tridiag_eig.decompose ~alpha:st.alpha ~beta:st.beta m
 
-(* y = f(T_m) e1 through the exact eigendecomposition of the small
-   tridiagonal: y = S diag(f theta) S^T e1. *)
-let apply_tridiag_function st m f =
-  let { Sym_eig.eigenvalues; eigenvectors } = Sym_eig.decompose (tridiagonal st m) in
+(* y = f(T_m) e1 through the exact eigendecomposition T_m = S diag(theta)
+   S^T of the small tridiagonal: y = S diag(f theta) S^T e1. *)
+let tridiag_function_e1 { Sym_eig.eigenvalues; eigenvectors } f =
+  let m = Array.length eigenvalues in
   let y = Array.make m 0. in
   for l = 0 to m - 1 do
     let w = f eigenvalues.(l) *. Mat.get eigenvectors 0 l in
@@ -198,13 +191,14 @@ let expmv ?(tol = 1e-12) ?(m_max = 64) apply ~t v =
       while Option.is_none !result do
         lanczos_step ~apply st;
         let m = st.steps in
-        (* The small eigensolve costs O(m^3): amortize by checking only
+        (* Each check re-diagonalizes T_m: amortize by checking only
            at exponentially spaced sizes, on breakdown, and at the cap. *)
         let checkpoint =
           st.invariant || m >= m_cap || m land (m - 1) = 0 || m mod 8 = 0
         in
         if checkpoint then begin
-          let y = apply_tridiag_function st m (fun lam -> Float.exp (-.t *. lam)) in
+          let decay lam = Float.exp (-.t *. lam) in
+          let y = tridiag_function_e1 (tridiag_eig st m) decay in
           if st.invariant then result := Some (combine st m beta0 y)
           else begin
             let err = beta0 *. st.beta.(m - 1) *. Float.abs y.(m - 1) in
@@ -244,7 +238,7 @@ let funmv ?(tol = 1e-13) ?(m_max = 256) apply ~f v =
       let m = st.steps in
       let checkpoint = st.invariant || m >= m_cap || m mod 4 = 0 in
       if checkpoint then begin
-        let y = apply_tridiag_function st m f in
+        let y = tridiag_function_e1 (tridiag_eig st m) f in
         if st.invariant then result := Some (lanczos_combine st ~n m beta0 y)
         else begin
           let delta = ref 0.
@@ -307,21 +301,9 @@ let prepared_eig p st m =
   match List.assoc_opt m p.p_eigs with
   | Some e -> e
   | None ->
-      let e = Sym_eig.decompose (tridiagonal st m) in
+      let e = tridiag_eig st m in
       p.p_eigs <- (m, e) :: p.p_eigs;
       e
-
-(* y = f(T_m) e1 from the memoized decomposition. *)
-let prepared_coeffs_at p st m f =
-  let { Sym_eig.eigenvalues; eigenvectors } = prepared_eig p st m in
-  let y = Array.make m 0. in
-  for l = 0 to m - 1 do
-    let w = f eigenvalues.(l) *. Mat.get eigenvectors 0 l in
-    for i = 0 to m - 1 do
-      y.(i) <- y.(i) +. (w *. Mat.get eigenvectors i l)
-    done
-  done;
-  y
 
 (* Accepted coefficient vector for [f]: walk checkpoints m = 4, 8, ...
    (funmv's ladder) growing the basis as needed, and accept at the
@@ -336,7 +318,7 @@ let prepared_coeffs p st ~f =
   let rec walk m prev streak =
     grow_to m;
     let m_eff = Stdlib.min m st.steps in
-    let y = prepared_coeffs_at p st m_eff f in
+    let y = tridiag_function_e1 (prepared_eig p st m_eff) f in
     if st.invariant && st.steps <= m then (m_eff, y)
     else begin
       let delta = ref 0. and scale = ref 0. in
@@ -432,9 +414,7 @@ let smallest_eigs ?(tol = 1e-10) ?(m_max = 0) ~n ~k solve =
     else if m >= k then begin
       (* Converged when the k largest Ritz values of the shift-inverted
          operator all have small residuals |beta_m . s_{m,j}|. *)
-      let { Sym_eig.eigenvalues; eigenvectors } =
-        Sym_eig.decompose (tridiagonal st m)
-      in
+      let { Sym_eig.eigenvalues; eigenvectors } = tridiag_eig st m in
       let ok = ref true in
       for j = m - k to m - 1 do
         let mu = eigenvalues.(j) in
@@ -445,7 +425,7 @@ let smallest_eigs ?(tol = 1e-10) ?(m_max = 0) ~n ~k solve =
     end
   done;
   let m = st.steps in
-  let { Sym_eig.eigenvalues; eigenvectors } = Sym_eig.decompose (tridiagonal st m) in
+  let { Sym_eig.eigenvalues; eigenvectors } = tridiag_eig st m in
   (* Largest mu of A^{-1} are the smallest lambda = 1/mu of A; eigenvalues
      come back ascending, so walk the top of the spectrum backwards. *)
   if m < k then

@@ -55,7 +55,8 @@ val cg :
     step is split as [e^{-tA} = (e^{-tA/2})²] and both halves recurse,
     so stiff operators with [t·λ_max ≫ m_max²] still converge.  The
     small [m × m] exponential is evaluated exactly through
-    {!Sym_eig.decompose}. *)
+    {!Tridiag_eig.decompose}, which diagonalizes [T_m] straight from the
+    Lanczos coefficients. *)
 val expmv :
   ?tol:float -> ?m_max:int -> (Vec.t -> Vec.t) -> t:float -> Vec.t -> Vec.t
 
@@ -85,8 +86,9 @@ val funmv :
     evaluated, so one preparation amortizes across many [f]s — the
     delta-evaluation workload, where every candidate applies a different
     spectral weight to the same per-core unit vector.  The basis is
-    grown lazily and the small tridiagonal eigendecompositions are
-    memoized per checkpoint size (also f-independent).
+    grown lazily and the small tridiagonal eigendecompositions
+    ({!Tridiag_eig.decompose}) are memoized per checkpoint size (also
+    f-independent).
 
     NOT domain-safe: a [prepared] value carries mutable growth state.
     Confine each one to a single domain (the response engine stores them

@@ -6,7 +6,13 @@
     eigensolver suffices to diagonalize it exactly; {!Thermal.Model}
     performs that similarity transform.  Jacobi is slow for huge matrices
     but the paper's platforms have at most a few dozen thermal nodes, where
-    it is both fast and exceptionally accurate. *)
+    it is both fast and exceptionally accurate.
+
+    That dense model eigenbasis is this module's only production use.
+    The tridiagonal Lanczos projections inside {!Krylov} go through
+    {!Tridiag_eig} instead (O(m²) per QL sweep, no dense matrix), for
+    which Jacobi on the dense image of the same tridiagonal is the test
+    oracle.  The {!t} record is shared by both solvers. *)
 
 type t = {
   eigenvalues : Vec.t;  (** Ascending eigenvalues. *)

@@ -36,7 +36,7 @@ let two_mode ~period ~low ~high ~high_ratio =
     invalid_arg "Schedule.two_mode: array length mismatch";
   let core i =
     let r = high_ratio.(i) in
-    if r < -1e-12 || r > 1. +. 1e-12 then
+    if not (r >= -1e-12 && r <= 1. +. 1e-12) then
       invalid_arg (Printf.sprintf "Schedule.two_mode: ratio %g for core %d not in [0,1]" r i);
     let lh = Float.max 0. (Float.min period (r *. period)) in
     let ll = period -. lh in

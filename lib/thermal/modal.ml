@@ -466,7 +466,7 @@ let flush_tallies t (s : scratch) =
    which spans exist.  Returns [(mode, ll)] with mode -1 = all-low
    (ll = t_p), +1 = all-high (ll = 0), 0 = interior. *)
 let two_mode_core_shape ~t_p ~high_ratio =
-  if high_ratio < -1e-12 || high_ratio > 1. +. 1e-12 then
+  if not (high_ratio >= -1e-12 && high_ratio <= 1. +. 1e-12) then
     invalid_arg
       (Printf.sprintf "Modal: high_ratio %.6g not in [0,1]" high_ratio);
   let lh = Float.max 0. (Float.min t_p (high_ratio *. t_p)) in

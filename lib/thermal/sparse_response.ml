@@ -314,7 +314,7 @@ let stable_solve t ~t_p =
    engine), so the prepared-base path agrees with the exact decomposed
    path on which spans exist. *)
 let two_mode_core_shape ~t_p ~high_ratio =
-  if high_ratio < -1e-12 || high_ratio > 1. +. 1e-12 then
+  if not (high_ratio >= -1e-12 && high_ratio <= 1. +. 1e-12) then
     invalid_arg
       (Printf.sprintf "Sparse_response: high_ratio %.6g not in [0,1]"
          high_ratio);

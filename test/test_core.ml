@@ -51,6 +51,42 @@ let test_platform_rejects_non_finite () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* A NaN duty ratio is rejected by every two-mode entry point: the
+   schedule builder, the fused dense and sparse evaluators, and both
+   engines' prepared-base delta scans.  A range test written as
+   [r < lo || r > hi] is false for NaN, which once let such a ratio
+   through to a [-inf] or plausible-looking peak. *)
+let test_two_mode_rejects_nan_ratio () =
+  let p = P.sheet ~rows:3 ~cols:3 ~levels:(Power.Vf.table_iv 2) ~t_max:65. () in
+  let n = P.n_cores p in
+  let lv = Power.Vf.levels p.P.levels in
+  let low = Array.make n lv.(0) and high = Array.make n lv.(Array.length lv - 1) in
+  let good = Array.make n 0.5 in
+  let bad = Array.copy good in
+  bad.(4) <- Float.nan;
+  let period = 0.05 in
+  let rejected msg f =
+    Alcotest.(check bool) msg true
+      (match f () with exception Invalid_argument _ -> true | _ -> false)
+  in
+  rejected "Schedule.two_mode + Peak.of_step_up" (fun () ->
+      Sched.Peak.of_step_up p.P.model p.P.power
+        (Sched.Schedule.two_mode ~period ~low ~high ~high_ratio:bad));
+  rejected "Peak.of_two_mode" (fun () ->
+      Sched.Peak.of_two_mode p.P.model p.P.power ~period ~low ~high ~high_ratio:bad);
+  List.iter
+    (fun (name, backend) ->
+      let ev = Core.Eval.create ~cache_size:0 ~backend p in
+      rejected (name ^ " Eval.two_mode_peak") (fun () ->
+          Core.Eval.two_mode_peak ev ~period ~low ~high ~high_ratio:bad);
+      rejected (name ^ " Eval.two_mode_delta_base") (fun () ->
+          Core.Eval.two_mode_delta_base ev ~period ~low ~high ~high_ratio:bad);
+      Core.Eval.two_mode_delta_base ev ~period ~low ~high ~high_ratio:good;
+      rejected (name ^ " Eval.two_mode_delta_peak") (fun () ->
+          Core.Eval.two_mode_delta_peak ev ~core:4 ~low:low.(4) ~high:high.(4)
+            ~high_ratio:Float.nan))
+    [ ("dense", Core.Eval.Dense); ("sparse", Core.Eval.Sparse) ]
+
 let test_platform_infeasible_detected () =
   (* A 1-degree margin above ambient is below even the all-low steady state. *)
   let p = Workload.Configs.platform ~cores:3 ~levels:2 ~t_max:36. in
@@ -407,6 +443,8 @@ let () =
           Alcotest.test_case "non-finite inputs rejected" `Quick
             test_platform_rejects_non_finite;
           Alcotest.test_case "infeasible detection" `Quick test_platform_infeasible_detected;
+          Alcotest.test_case "NaN two-mode ratio rejected" `Quick
+            test_two_mode_rejects_nan_ratio;
         ] );
       ( "ideal",
         [
