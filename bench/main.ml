@@ -200,6 +200,13 @@ let tests () =
          Test.make ~name:"jacobi"
            (Staged.stage (fun () -> ignore (Linalg.Sym_eig.decompose dense)));
        ]);
+    (* Table V's "EXS (naive)" column, Algorithm 1 verbatim: one fresh
+       LU of A per combination, run in a reused workspace.  4^6 = 4096
+       combinations; divided by that count it is the per-combination cost
+       that the 9x5 row (1 953 125 combinations) multiplies into most of
+       the paper-repro macro workload's time. *)
+    Test.make ~name:"kernel/exs-naive-6x4"
+      (Staged.stage (fun () -> ignore (Core.Exs.solve_naive p6_4)));
     Test.make ~name:"kernel/steady-state-9core"
       (Staged.stage (fun () ->
            ignore (Thermal.Model.steady_core_temps model9 (Array.make 9 15.))));

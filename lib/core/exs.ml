@@ -147,19 +147,36 @@ let solve_naive (p : Platform.t) =
   let best_score = ref neg_infinity in
   let best_digits = ref None in
   (* Algorithm 1 verbatim: a fresh T^inf = -A^{-1} B factorization per
-     combination (line 7), with no incremental reuse. *)
-  let a = Thermal.Model.a_matrix p.model in
+     combination (line 7), with no incremental reuse.  Only the storage
+     is reused: every buffer below is allocated once and overwritten by
+     each combination, so no array is allocated per combination. *)
+  let model = p.model in
+  let a = Thermal.Model.a_matrix model in
+  let nodes = Thermal.Model.n_nodes model in
+  let lu = Linalg.Lu.workspace nodes in
+  let voltages = Array.make n 0. and psi = Array.make n 0. in
+  let b = Array.make nodes 0. and theta = Array.make nodes 0. in
   let visit digits =
-    let voltages = Array.map (fun d -> levels.(d)) digits in
-    let psi = Power.Power_model.psi_vector p.power voltages in
-    let b = Thermal.Model.input_of_core_powers p.model psi in
-    let theta = Linalg.Vec.scale (-1.) (Linalg.Lu.solve a b) in
-    let peak = Thermal.Model.max_core_temp p.model theta in
+    for k = 0 to n - 1 do
+      voltages.(k) <- levels.(digits.(k));
+      psi.(k) <- Power.Power_model.psi p.power voltages.(k)
+    done;
+    Thermal.Model.input_of_core_powers_into model psi b;
+    Linalg.Lu.factorize_into lu a;
+    Linalg.Lu.solve_into lu b theta;
+    for i = 0 to nodes - 1 do
+      theta.(i) <- -.theta.(i)
+    done;
+    let peak = Thermal.Model.max_core_temp model theta in
     if peak <= p.t_max +. 1e-9 then begin
-      let score = Array.fold_left ( +. ) 0. voltages in
-      if improves ~score ~digits ~best_score:!best_score ~best_digits:!best_digits
+      let score = ref 0. in
+      for k = 0 to n - 1 do
+        score := !score +. voltages.(k)
+      done;
+      if improves ~score:!score ~digits ~best_score:!best_score
+           ~best_digits:!best_digits
       then begin
-        best_score := score;
+        best_score := !score;
         best_digits := Some (Array.copy digits)
       end
     end

@@ -39,9 +39,16 @@ type result = {
 (** [solve platform] runs the incremental exhaustive search. *)
 val solve : Platform.t -> result
 
-(** [solve_naive platform] runs the textbook version (one dense linear
-    solve per combination).  Same result, slower — kept for the
-    ablation benchmark. *)
+(** [solve_naive platform] runs the textbook version, Algorithm 1 as
+    written: a fresh factorization of [A] per combination in a reused
+    workspace ({!Linalg.Lu.factorize_into}), then one triangular solve
+    for [T^inf] ({!Linalg.Lu.solve_into}).
+    Nothing is carried between combinations except storage: the
+    workspace, voltage, power, right-hand-side and solution buffers are
+    allocated once per search.  Sequential.  Same [voltages],
+    [throughput], [peak], [feasible] and [evaluated] as {!solve},
+    slower — kept as Table V's "EXS (naive)" column and the ablation's
+    verbatim baseline. *)
 val solve_naive : Platform.t -> result
 
 (** [solve_pruned ?node_cap platform] runs a branch-and-bound

@@ -7,8 +7,10 @@
     while AO stays roughly flat and PCO costs a constant factor more
     than AO.  Absolute times differ (native OCaml vs MATLAB); the
     trends and the EXS blow-up are the reproduced claims.  The naive
-    EXS column re-factorizes [A] per combination, exactly as Algorithm 1
-    is written — the incremental EXS is our optimized variant. *)
+    EXS column ({!Core.Exs.solve_naive}) runs a fresh factorization of
+    [A] per combination in a reused workspace, exactly as Algorithm 1 is
+    written: the per-combination LU is kept, only its storage is reused.
+    The incremental EXS is our optimized variant. *)
 
 type row = {
   cores : int;

@@ -132,18 +132,33 @@ let check_psi m psi =
       (Printf.sprintf "Model: power vector has %d entries, expected %d cores"
          (Vec.dim psi) (n_cores m))
 
-(* E psi + beta * T_amb * e, the node-space heat input in theta space. *)
+(* E psi + beta * T_amb * e, the node-space heat input in theta space:
+   [core_heat m psi k] is its entry at core k's node; every other node
+   gets none. *)
+let[@inline] core_heat m psi k = psi.(k) +. (m.leak_beta *. m.ambient)
+
 let heat_input m psi =
   check_psi m psi;
   let inp = Vec.zeros (n_nodes m) in
-  Array.iteri
-    (fun k i -> inp.(i) <- psi.(k) +. (m.leak_beta *. m.ambient))
-    m.core_nodes;
+  Array.iteri (fun k i -> inp.(i) <- core_heat m psi k) m.core_nodes;
   inp
 
+let input_of_core_powers_into m psi b =
+  check_psi m psi;
+  if Vec.dim b <> n_nodes m then
+    invalid_arg
+      (Printf.sprintf "Model.input_of_core_powers_into: buffer has %d entries, expected %d"
+         (Vec.dim b) (n_nodes m));
+  Array.fill b 0 (Vec.dim b) 0.;
+  for k = 0 to Array.length m.core_nodes - 1 do
+    let i = m.core_nodes.(k) in
+    b.(i) <- core_heat m psi k /. m.capacitance.(i)
+  done
+
 let input_of_core_powers m psi =
-  let inp = heat_input m psi in
-  Array.mapi (fun i x -> x /. m.capacitance.(i)) inp
+  let b = Vec.zeros (n_nodes m) in
+  input_of_core_powers_into m psi b;
+  b
 
 let theta_inf m psi = Linalg.Lu.solve_vec m.g_eff_lu (heat_input m psi)
 
@@ -153,8 +168,11 @@ let core_temps_of_theta m theta =
 let steady_core_temps m psi = core_temps_of_theta m (theta_inf m psi)
 
 let max_core_temp m theta =
-  Array.fold_left (fun acc i -> Float.max acc (theta.(i) +. m.ambient)) neg_infinity
-    m.core_nodes
+  let acc = ref neg_infinity in
+  for k = 0 to Array.length m.core_nodes - 1 do
+    acc := Float.max !acc (theta.(m.core_nodes.(k)) +. m.ambient)
+  done;
+  !acc
 
 let compute_propagator m dt =
   let n = n_nodes m in

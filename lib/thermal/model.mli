@@ -72,6 +72,12 @@ val effective_conductance : t -> Linalg.Mat.t
     core. *)
 val input_of_core_powers : t -> Linalg.Vec.t -> Linalg.Vec.t
 
+(** [input_of_core_powers_into m psi b] writes [b(psi)] into [b] (one
+    entry per node), overwriting it — the allocation-free form of
+    {!input_of_core_powers}, with the same values.  Raises
+    [Invalid_argument] when [psi] or [b] has the wrong length. *)
+val input_of_core_powers_into : t -> Linalg.Vec.t -> Linalg.Vec.t -> unit
+
 (** [theta_inf m psi] is the ambient-relative steady state
     [-A^{-1} b(psi)] for constant per-core powers [psi]. *)
 val theta_inf : t -> Linalg.Vec.t -> Linalg.Vec.t

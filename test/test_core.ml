@@ -256,10 +256,13 @@ let test_exs_infeasible_platform () =
 let test_exs_solvers_agree () =
   (* All four solvers reduce with the same deterministic total order
      (score, then lexicographically smallest digits), so they must agree
-     *exactly* on voltages/throughput/feasibility — across random
-     thresholds, including infeasible ones.  The (6, 4) shape's 4^6
-     space is large enough that [solve_par] takes its parallel branch on
-     the forced 4-domain pool even on a single-core host. *)
+     *exactly* on voltages/throughput/peak/feasibility — across random
+     thresholds, including infeasible ones.  [solve_naive] walks the
+     same odometer as [solve], so it must also count the same
+     combinations.  The (6, 4) shape's 4^6 space is large enough that
+     [solve_par] takes its parallel branch on the forced 4-domain pool
+     even on a single-core host; the (9, 3) shape runs the naive
+     per-combination LU on the paper's largest core count. *)
   let pool = Util.Pool.create ~size:4 () in
   let rng = Random.State.make [| 2016 |] in
   List.iter
@@ -268,6 +271,7 @@ let test_exs_solvers_agree () =
         let t_max = 40. +. Random.State.float rng 50. in
         let p = Workload.Configs.platform ~cores ~levels ~t_max in
         let reference = Core.Exs.solve p in
+        let naive = Core.Exs.solve_naive p in
         let tag name =
           Printf.sprintf "%s (%d cores, %d levels, %.2fC, trial %d)" name cores
             levels t_max trial
@@ -279,14 +283,18 @@ let test_exs_solvers_agree () =
             Alcotest.(check (array (float 0.))) (tag (name ^ " voltages"))
               reference.Core.Exs.voltages r.Core.Exs.voltages;
             Alcotest.(check (float 0.)) (tag (name ^ " throughput"))
-              reference.Core.Exs.throughput r.Core.Exs.throughput)
+              reference.Core.Exs.throughput r.Core.Exs.throughput;
+            Alcotest.(check (float 0.)) (tag (name ^ " peak"))
+              reference.Core.Exs.peak r.Core.Exs.peak)
           [
-            ("naive", Core.Exs.solve_naive p);
+            ("naive", naive);
             ("pruned", Core.Exs.solve_pruned p);
             ("par", Core.Exs.solve_par ~pool p);
-          ]
+          ];
+        Alcotest.(check int) (tag "naive evaluated")
+          reference.Core.Exs.evaluated naive.Core.Exs.evaluated
       done)
-    [ (2, 2); (3, 2); (3, 3); (2, 5); (9, 2); (6, 4) ];
+    [ (2, 2); (3, 2); (3, 3); (2, 5); (9, 2); (6, 4); (9, 3) ];
   Util.Pool.shutdown pool
 
 (* ------------------------------------------------------------------ tpt *)

@@ -133,6 +133,75 @@ let test_lu_singular_raises () =
   Alcotest.(check bool) "raises Singular" true
     (match Lu.factorize s with exception Lu.Singular _ -> true | _ -> false)
 
+(* A random matrix whose leading entry is zero, so partial pivoting has
+   to swap rows at the first step (and, at random entries, later ones). *)
+let random_pivoting_matrix rng n =
+  let a = random_matrix rng n in
+  if n > 1 then Mat.set a 0 0 0.;
+  a
+
+let raises_invalid f =
+  match f () with exception Invalid_argument _ -> true | _ -> false
+
+let test_lu_in_place_bit_identical () =
+  let rng = Random.State.make [| 14 |] in
+  List.iter
+    (fun n ->
+      let w = Lu.workspace n in
+      let x = Array.make n 0. in
+      (* Two factorizations per size into the same workspace: the second
+         starts from the first's factors and permutation. *)
+      for trial = 1 to 2 do
+        let a = random_pivoting_matrix rng n in
+        let b = Array.init n (fun _ -> Random.State.float rng 2. -. 1.) in
+        Lu.factorize_into w a;
+        Lu.solve_into w b x;
+        Alcotest.(check (array (float 0.)))
+          (Printf.sprintf "n=%d trial %d" n trial)
+          (Lu.solve_vec (Lu.factorize a) b)
+          x
+      done)
+    [ 1; 2; 3; 5; 9; 16 ]
+
+let test_lu_in_place_errors () =
+  let w = Lu.workspace 2 in
+  let s = Mat.of_rows [| [| 1.; 2. |]; [| 2.; 4. |] |] in
+  Alcotest.(check bool) "singular raises Singular" true
+    (match Lu.factorize_into w s with exception Lu.Singular _ -> true | () -> false);
+  Alcotest.(check bool) "3x3 into a 2x2 workspace" true
+    (raises_invalid (fun () -> Lu.factorize_into w (Mat.identity 3)));
+  Alcotest.(check bool) "non-square" true
+    (raises_invalid (fun () -> Lu.factorize_into w (Mat.zeros 2 3)));
+  Lu.factorize_into w (Mat.identity 2);
+  let b = [| 1.; 2. |] in
+  Alcotest.(check bool) "short rhs" true
+    (raises_invalid (fun () -> Lu.solve_into w [| 1. |] (Array.make 2 0.)));
+  Alcotest.(check bool) "long solution buffer" true
+    (raises_invalid (fun () -> Lu.solve_into w b (Array.make 3 0.)));
+  Alcotest.(check bool) "rhs aliased with the solution" true
+    (raises_invalid (fun () -> Lu.solve_into w b b));
+  Alcotest.(check bool) "short rhs to solve_vec" true
+    (raises_invalid (fun () -> Lu.solve_vec (Lu.factorize (Mat.identity 2)) [| 1. |]));
+  Alcotest.(check bool) "negative workspace" true
+    (raises_invalid (fun () -> Lu.workspace (-1)))
+
+let test_lu_rejects_non_finite () =
+  List.iter
+    (fun (name, rows) ->
+      let a = Mat.of_rows rows in
+      Alcotest.(check bool) (name ^ ": factorize") true
+        (raises_invalid (fun () -> Lu.factorize a));
+      Alcotest.(check bool) (name ^ ": solve") true
+        (raises_invalid (fun () -> Lu.solve a [| 1.; 1. |]));
+      Alcotest.(check bool) (name ^ ": det") true (raises_invalid (fun () -> Lu.det a));
+      Alcotest.(check bool) (name ^ ": factorize_into") true
+        (raises_invalid (fun () -> Lu.factorize_into (Lu.workspace 2) a)))
+    [
+      ("NaN", [| [| Float.nan; 1. |]; [| 1.; 2. |] |]);
+      ("inf", [| [| 2.; 1. |]; [| 1.; Float.infinity |] |]);
+      ("-inf off-diagonal", [| [| 2.; Float.neg_infinity |]; [| 1.; 3. |] |]);
+    ]
+
 (* ------------------------------------------------------------- Cholesky *)
 
 let chol_rejects a =
@@ -452,6 +521,31 @@ let prop_lu_solve_residual =
       let x = Lu.solve a b in
       Vec.dist_inf (Mat.matvec a x) b < 1e-8)
 
+let prop_lu_in_place_bit_exact =
+  QCheck.Test.make ~name:"lu: in-place = solve_vec, bit-exact" ~count:100
+    QCheck.(
+      make
+        Gen.(
+          let* n = int_range 1 9 in
+          let* first = array_size (return (n * n)) (float_bound_inclusive 1.) in
+          let* entries = array_size (return (n * n)) (float_bound_inclusive 1.) in
+          let* b = vec_gen n in
+          return (n, first, entries, b)))
+    (fun (n, first, entries, b) ->
+      let of_entries e = Mat.init n n (fun i j -> e.((i * n) + j) -. 0.5) in
+      let a = of_entries entries in
+      match Lu.factorize a with
+      | exception Lu.Singular _ -> QCheck.assume_fail ()
+      | f ->
+          (* Dirty the workspace with another matrix's factors first. *)
+          let w = Lu.workspace n in
+          (try Lu.factorize_into w (of_entries first) with Lu.Singular _ -> ());
+          Lu.factorize_into w a;
+          let x = Array.make n 0. in
+          Lu.solve_into w b x;
+          Array.for_all2 (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+            (Lu.solve_vec f b) x)
+
 let prop_eig_spectrum_matches_trace =
   QCheck.Test.make ~name:"sym_eig: eigenvalue sum equals trace" ~count:100
     QCheck.(
@@ -511,6 +605,11 @@ let () =
           Alcotest.test_case "singular raises" `Quick test_lu_singular_raises;
           Alcotest.test_case "pivoting" `Quick test_lu_pivoting;
           Alcotest.test_case "matrix rhs" `Quick test_lu_solve_mat;
+          Alcotest.test_case "in-place = factorize, bit-exact" `Quick
+            test_lu_in_place_bit_identical;
+          Alcotest.test_case "in-place singular and dimension errors" `Quick
+            test_lu_in_place_errors;
+          Alcotest.test_case "non-finite entries rejected" `Quick test_lu_rejects_non_finite;
         ] );
       ( "cholesky",
         [
@@ -549,5 +648,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_lu_solve_residual; prop_eig_spectrum_matches_trace; prop_expm_det ] );
+          [
+            prop_lu_solve_residual;
+            prop_eig_spectrum_matches_trace;
+            prop_expm_det;
+            prop_lu_in_place_bit_exact;
+          ] );
     ]
