@@ -18,29 +18,22 @@ type t = {
      [Lazy.force] racing across domains raises [Lazy.RacyLazy] — the
      crash class fosc-race's R8 flags — while [Once.get] single-flights
      the build under a mutex and is one atomic read thereafter. *)
-  engine : Thermal.Modal.t Util.Once.t;
-      (* The platform's response engine.  [Thermal.Modal.make] memoizes
-         per model, so forcing this returns the same engine every direct
-         (eval-less) call resolves — all paths superpose over identical
-         unit-response tables and stay bit-compatible.  Never forced by a
-         [Sparse] context's evaluators, so sparse solves skip the O(n³)
-         eigensolve entirely. *)
+  backend : Thermal.Backend.t Util.Once.t;
+      (* The one engine every exact and delta evaluator runs on, chosen
+         by [kind].  [Dense] wraps the model's memoized modal engine, so
+         it superposes over the same unit-response tables every
+         eval-less [Thermal.Backend.of_model] call resolves; [Sparse]
+         wraps [response] and never forces the O(n³) eigensolve. *)
   sparse : Thermal.Sparse_model.t Util.Once.t;
       (* The Krylov engine of the model's spec, assembled on the
-         context's pool — shared by the response engine, the reduction
-         and the backend view, so all three superpose/project over one
-         operator. *)
+         context's pool — shared by the response engine and the
+         reduction, so both superpose/project over one operator.  Never
+         forced by a [Dense] context. *)
   response : Thermal.Sparse_response.t Util.Once.t;
       (* Superposition tables over [sparse] ([Thermal.Sparse_response.make]
-         memoizes per engine).  Never forced by a [Dense] context. *)
+         memoizes per engine). *)
   rom : Thermal.Reduced.t Util.Once.t;
-      (* The Lanczos-reduced screening model over [sparse].  Never
-         forced by a [Dense] context. *)
-  backend : Thermal.Backend.t Util.Once.t;
-      (* The uniform-interface view of whichever engine [kind] selects.
-         For [Dense] this wraps the same modal engine as [engine]; for
-         [Sparse] it wraps the response engine, so backend evaluators
-         superpose instead of re-solving per-candidate steady states. *)
+      (* The Lanczos-reduced screening model over [sparse]. *)
 }
 
 type stats = {
@@ -68,88 +61,45 @@ let create ?pool ?(cache_size = 1024) ?(backend = Dense) ?(screen_margin = 0.)
     stepup_cache = Sched.Peak.Cache.create ~max_entries:cache_size ();
     kind = backend;
     screen_margin;
-    engine =
-      Util.Once.make (fun () -> Thermal.Modal.make platform.Platform.model);
     sparse;
     response;
     rom =
       Util.Once.make (fun () ->
           Thermal.Reduced.of_engine (Util.Once.get sparse));
     backend =
-      (match backend with
-      | Dense ->
-          Util.Once.make (fun () ->
-              Thermal.Backend.of_model platform.Platform.model)
-      | Sparse ->
-          Util.Once.make (fun () ->
-              Thermal.Backend.of_response (Util.Once.get response)));
+      Util.Once.make (fun () ->
+          match backend with
+          | Dense -> Thermal.Backend.of_model platform.Platform.model
+          | Sparse -> Thermal.Backend.of_response (Util.Once.get response));
   }
 
 let platform t = t.platform
 let pool t = t.pool
 let kind t = t.kind
-let engine t = Util.Once.get t.engine
+let engine t = Thermal.Modal.make t.platform.Platform.model
 let backend t = Util.Once.get t.backend
 
+let power t = t.platform.Platform.power
+
 let steady_peak t voltages =
-  match t.kind with
-  | Dense ->
-      Sched.Peak.steady_constant_cached ~engine:(Util.Once.get t.engine)
-        t.steady_cache t.platform.Platform.model t.platform.Platform.power
-        voltages
-  | Sparse ->
-      Sched.Peak.backend_steady_constant_cached t.steady_cache
-        (Util.Once.get t.backend) t.platform.Platform.power voltages
+  Sched.Peak.steady_constant_cached t.steady_cache (backend t) (power t) voltages
 
 let step_up_peak t s =
-  match t.kind with
-  | Dense ->
-      Sched.Peak.of_step_up_cached ~engine:(Util.Once.get t.engine) t.stepup_cache
-        t.platform.Platform.model t.platform.Platform.power s
-  | Sparse ->
-      Sched.Peak.backend_of_step_up_cached t.stepup_cache
-        (Util.Once.get t.backend) t.platform.Platform.power s
+  Sched.Peak.of_step_up_cached t.stepup_cache (backend t) (power t) s
 
 let two_mode_peak t ~period ~low ~high ~high_ratio =
-  match t.kind with
-  | Dense ->
-      Sched.Peak.of_two_mode_cached ~engine:(Util.Once.get t.engine) t.stepup_cache
-        t.platform.Platform.model t.platform.Platform.power ~period ~low ~high
-        ~high_ratio
-  | Sparse ->
-      (* The fused streaming path: superposed equilibria, no schedule
-         materialization, same digest as the generic backend path. *)
-      Sched.Peak.response_of_two_mode_cached t.stepup_cache
-        (Util.Once.get t.response) t.platform.Platform.power ~period ~low ~high
-        ~high_ratio
+  Sched.Peak.of_two_mode_cached t.stepup_cache (backend t) (power t) ~period ~low
+    ~high ~high_ratio
 
 let any_peak t ?(samples_per_segment = 32) s =
-  match t.kind with
-  | Dense ->
-      Sched.Peak.of_any ~engine:(Util.Once.get t.engine) t.platform.Platform.model
-        t.platform.Platform.power ~samples_per_segment s
-  | Sparse ->
-      Sched.Peak.backend_of_any (Util.Once.get t.backend)
-        t.platform.Platform.power ~samples_per_segment s
+  Sched.Peak.of_any (backend t) (power t) ~samples_per_segment s
 
 let stable_end_core_temps t s =
-  match t.kind with
-  | Dense ->
-      Sched.Peak.stable_end_core_temps ~engine:(Util.Once.get t.engine)
-        t.platform.Platform.model t.platform.Platform.power s
-  | Sparse ->
-      Sched.Peak.backend_stable_end_core_temps (Util.Once.get t.backend)
-        t.platform.Platform.power s
+  Sched.Peak.stable_end_core_temps (backend t) (power t) s
 
 let two_mode_end_core_temps t ~period ~low ~high ~high_ratio =
-  match t.kind with
-  | Dense ->
-      Sched.Peak.two_mode_end_core_temps ~engine:(Util.Once.get t.engine)
-        t.platform.Platform.model t.platform.Platform.power ~period ~low ~high
-        ~high_ratio
-  | Sparse ->
-      Sched.Peak.backend_two_mode_end_core_temps (Util.Once.get t.backend)
-        t.platform.Platform.power ~period ~low ~high ~high_ratio
+  Sched.Peak.two_mode_end_core_temps (backend t) (power t) ~period ~low ~high
+    ~high_ratio
 
 (* -------------------------------------- prepared-base delta scans *)
 
@@ -159,34 +109,16 @@ let two_mode_end_core_temps t ~period ~low ~high ~high_ratio =
    Callers (the TPT loops) re-verify winners through [two_mode_peak]. *)
 
 let two_mode_delta_base t ~period ~low ~high ~high_ratio =
-  match t.kind with
-  | Dense ->
-      Sched.Peak.two_mode_delta_base ~engine:(Util.Once.get t.engine)
-        t.platform.Platform.model t.platform.Platform.power ~period ~low ~high
-        ~high_ratio
-  | Sparse ->
-      Sched.Peak.response_two_mode_delta_base (Util.Once.get t.response)
-        t.platform.Platform.power ~period ~low ~high ~high_ratio
+  Sched.Peak.two_mode_delta_base (backend t) (power t) ~period ~low ~high
+    ~high_ratio
 
 let two_mode_delta_peak t ~core ~low ~high ~high_ratio =
-  match t.kind with
-  | Dense ->
-      Sched.Peak.two_mode_delta_peak ~engine:(Util.Once.get t.engine)
-        t.platform.Platform.model t.platform.Platform.power ~core ~low ~high
-        ~high_ratio
-  | Sparse ->
-      Sched.Peak.response_two_mode_delta_peak (Util.Once.get t.response)
-        t.platform.Platform.power ~core ~low ~high ~high_ratio
+  Sched.Peak.two_mode_delta_peak (backend t) (power t) ~core ~low ~high
+    ~high_ratio
 
 let two_mode_delta_temp_at t ~at ~core ~low ~high ~high_ratio =
-  match t.kind with
-  | Dense ->
-      Sched.Peak.two_mode_delta_temp_at ~engine:(Util.Once.get t.engine)
-        t.platform.Platform.model t.platform.Platform.power ~at ~core ~low
-        ~high ~high_ratio
-  | Sparse ->
-      Sched.Peak.response_two_mode_delta_temp_at (Util.Once.get t.response)
-        t.platform.Platform.power ~at ~core ~low ~high ~high_ratio
+  Sched.Peak.two_mode_delta_temp_at (backend t) (power t) ~at ~core ~low ~high
+    ~high_ratio
 
 (* ---------------------------------------------- two-tier screening *)
 
@@ -216,15 +148,14 @@ let rom_two_mode_peak t ~period ~low ~high ~high_ratio =
          exact evaluation, which keeps callers backend-blind. *)
       two_mode_peak t ~period ~low ~high ~high_ratio
   | Sparse ->
-      Sched.Peak.rom_of_two_mode (Util.Once.get t.rom) t.platform.Platform.power
-        ~period ~low ~high ~high_ratio
+      Sched.Peak.rom_of_two_mode (Util.Once.get t.rom) (power t) ~period ~low
+        ~high ~high_ratio
 
 let rom_any_peak t ?(samples_per_segment = 32) s =
   match t.kind with
   | Dense -> any_peak t ~samples_per_segment s
   | Sparse ->
-      Sched.Peak.rom_of_any (Util.Once.get t.rom) t.platform.Platform.power
-        ~samples_per_segment s
+      Sched.Peak.rom_of_any (Util.Once.get t.rom) (power t) ~samples_per_segment s
 
 let stats t =
   {
@@ -244,8 +175,8 @@ let response_stats t =
   match t.kind with
   | Sparse -> None
   | Dense ->
-      if Util.Once.is_forced t.engine then
-        Some (Thermal.Modal.stats (Util.Once.get t.engine))
+      if Util.Once.is_forced t.backend then
+        Some (Thermal.Modal.stats (engine t))
       else None
 
 let hit_rate t =

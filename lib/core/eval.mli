@@ -1,8 +1,9 @@
 (** A shared evaluation context: everything a policy solve needs to
     price candidate schedules on one platform, created once and reused.
 
-    The context bundles the {!Platform.t} (whose thermal model carries
-    the modal/MatEx workspace all evaluators run on), the {!Util.Pool}
+    The context bundles the {!Platform.t}, one thermal engine record
+    ({!Thermal.Backend.t}, chosen by {!backend_kind} and built on first
+    use) that every exact and delta evaluator runs on, the {!Util.Pool}
     handle searches fan out on, and two bounded memo tables
     ({!Sched.Peak.Cache}):
 
@@ -23,12 +24,15 @@
 type t
 
 (** Which thermal engine prices this context's candidates.  [Dense] is
-    the reference {!Thermal.Modal} path (exact eigenbasis, O(n³) build);
-    [Sparse] routes every evaluator through the {!Thermal.Backend}
-    wrapping of the Krylov engine (O(nnz) build, CG + Lanczos solves) —
-    a [Sparse] context never forces the modal engine, so its solves skip
-    the dense eigensolve entirely.  Both kinds share the same memo-table
-    digests, so switching backends changes only who computes a miss. *)
+    {!Thermal.Backend.of_model}, the reference {!Thermal.Modal} engine
+    (exact eigenbasis, O(n³) build); [Sparse] is
+    {!Thermal.Backend.of_response}, the superposition engine over the
+    Krylov engine of the model's spec (O(nnz) build, CG + Lanczos
+    solves) — a [Sparse] context never forces the modal engine, so its
+    solves skip the dense eigensolve entirely.  The evaluators are the
+    same {!Sched.Peak} calls on either record, and both kinds share the
+    same memo-table digests, so the kind changes only who computes a
+    miss. *)
 type backend_kind = Dense | Sparse
 
 type stats = {
@@ -67,18 +71,21 @@ val pool : t -> Util.Pool.t
 (** [kind t] is the backend the context was created with. *)
 val kind : t -> backend_kind
 
-(** [backend t] is the uniform-interface view of the context's engine,
-    built lazily on first use — ["dense-modal"] wrapping the same engine
-    as {!engine} for a [Dense] context, ["sparse-response"] (the
-    superposition engine over the Krylov engine assembled from the
-    model's spec on the context's pool) for a [Sparse] one. *)
+(** [backend t] is the context's engine record, built on first use —
+    ["dense-modal"] wrapping the same engine as {!engine} for a [Dense]
+    context, ["sparse-response"] (the superposition engine over the
+    Krylov engine assembled from the model's spec on the context's pool)
+    for a [Sparse] one.  Every exact and delta evaluator below runs on
+    it. *)
 val backend : t -> Thermal.Backend.t
 
-(** [engine t] is the platform's {!Thermal.Modal} response engine,
-    built lazily on first use.  {!Thermal.Modal.make} memoizes per
-    model, so this is the same engine any direct (eval-less) evaluator
-    call resolves — every path superposes over identical unit-response
-    tables, keeping cached and uncached results bit-compatible. *)
+(** [engine t] is the platform's {!Thermal.Modal} response engine
+    ({!Thermal.Modal.make}, memoized per model, so it is built on the
+    first call).  It is the engine a [Dense] context's record and any
+    eval-less [Thermal.Backend.of_model] call wrap — every path
+    superposes over identical unit-response tables, keeping cached and
+    uncached results bit-compatible.  Calling it on a [Sparse] context
+    pays the dense eigensolve. *)
 val engine : t -> Thermal.Modal.t
 
 (** [steady_peak t voltages] is the memoized
@@ -93,8 +100,10 @@ val step_up_peak : t -> Sched.Schedule.t -> float
 (** [two_mode_peak t ~period ~low ~high ~high_ratio] is the memoized
     {!Sched.Peak.of_two_mode} — the fused aligned two-mode candidate
     evaluator.  It shares the step-up memo table (and its exact
-    schedule digest), so fused and schedule-based evaluations of the
-    same candidate replay each other's entries. *)
+    schedule digest) with {!step_up_peak}, so fused and schedule-based
+    evaluations of the same candidate replay each other's entries; both
+    solve with the same period sum (the [t_p] rule in {!Sched.Peak}), so
+    the replayed float is the one either path would compute. *)
 val two_mode_peak :
   t ->
   period:float ->
@@ -215,11 +224,11 @@ val sparse_response_stats : t -> Thermal.Sparse_response.stats option
 (** [response_stats t] snapshots the modal response-engine counters
     (superposition evaluations, decay-table hits/misses, and the
     process-wide engine build count) — [Some] only for a [Dense] context
-    whose engine has actually been built (never forces it, so asking a
-    [Sparse] context costs no eigensolve; see {!sparse_response_stats}
-    for its engine).  Engines are shared per model, so the per-engine
-    counters reflect every evaluation on this platform since its engine
-    was built, not just this context's. *)
+    whose engine record has actually been built (never forces it, so
+    asking a [Sparse] context costs no eigensolve; see
+    {!sparse_response_stats} for its engine).  Engines are shared per
+    model, so the per-engine counters reflect every evaluation on this
+    platform since its engine was built, not just this context's. *)
 val response_stats : t -> Thermal.Modal.stats option
 
 (** [hit_rate t] is the fraction of all lookups (both tables) answered

@@ -6,7 +6,8 @@ let solve ?eval (p : Platform.t) =
   let peak =
     match eval with
     | Some ev when Eval.platform ev == p -> Eval.steady_peak ev voltages
-    | Some _ | None -> Sched.Peak.steady_constant p.model p.power voltages
+    | Some _ | None ->
+        Sched.Peak.steady_constant (Thermal.Backend.of_model p.model) p.power voltages
   in
   let throughput =
     Array.fold_left ( +. ) 0. voltages /. float_of_int (Array.length voltages)

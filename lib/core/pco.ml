@@ -13,16 +13,16 @@ let scan_peak ?eval (p : Platform.t) c =
   | Some ev when Eval.platform ev == p ->
       Eval.any_peak ev ~samples_per_segment:16 (Tpt.schedule_of_config c)
   | Some _ | None ->
-      Sched.Peak.of_any p.model p.power ~samples_per_segment:16
-        (Tpt.schedule_of_config c)
+      Sched.Peak.of_any (Thermal.Backend.of_model p.model) p.power
+        ~samples_per_segment:16 (Tpt.schedule_of_config c)
 
 let rom_scan_peak ?eval (p : Platform.t) c =
   match eval with
   | Some ev when Eval.platform ev == p ->
       Eval.rom_any_peak ev ~samples_per_segment:16 (Tpt.schedule_of_config c)
   | Some _ | None ->
-      Sched.Peak.of_any p.model p.power ~samples_per_segment:16
-        (Tpt.schedule_of_config c)
+      Sched.Peak.of_any (Thermal.Backend.of_model p.model) p.power
+        ~samples_per_segment:16 (Tpt.schedule_of_config c)
 
 let solve ?eval ?base_period ?m_cap ?t_unit ?(offsets_per_core = 8) ?(rounds = 1)
     ?(par = true) ?(delta_margin = 0.) (p : Platform.t) =

@@ -60,7 +60,8 @@ let peak_aligned (p : Platform.t) ?eval ~period ~low ~high ~high_ratio () =
   | Some ev when Eval.platform ev == p ->
       Eval.two_mode_peak ev ~period ~low ~high ~high_ratio
   | Some _ | None ->
-      Sched.Peak.of_two_mode p.model p.power ~period ~low ~high ~high_ratio
+      Sched.Peak.of_two_mode (Thermal.Backend.of_model p.model) p.power ~period ~low
+        ~high ~high_ratio
 
 (* The screening-tier counterpart: the reduced-model score of the same
    fused candidate (exact on a dense or eval-less context, where no
@@ -71,7 +72,8 @@ let rom_peak_aligned (p : Platform.t) ?eval ~period ~low ~high ~high_ratio () =
   | Some ev when Eval.platform ev == p ->
       Eval.rom_two_mode_peak ev ~period ~low ~high ~high_ratio
   | Some _ | None ->
-      Sched.Peak.of_two_mode p.model p.power ~period ~low ~high ~high_ratio
+      Sched.Peak.of_two_mode (Thermal.Backend.of_model p.model) p.power ~period ~low
+        ~high ~high_ratio
 
 let peak (p : Platform.t) ?eval ?(dense = false) c =
   if is_aligned c && not dense then begin
@@ -90,8 +92,8 @@ let peak (p : Platform.t) ?eval ?(dense = false) c =
     | Some ev when Eval.platform ev == p ->
         Eval.any_peak ev ~samples_per_segment:16 (schedule_of_config c)
     | Some _ | None ->
-        Sched.Peak.of_any p.model p.power ~samples_per_segment:16
-          (schedule_of_config c)
+        Sched.Peak.of_any (Thermal.Backend.of_model p.model) p.power
+          ~samples_per_segment:16 (schedule_of_config c)
   end
 
 (* Screening-tier counterpart of [peak]: reduced-model score for aligned
@@ -110,8 +112,8 @@ let rom_peak (p : Platform.t) ?eval c =
     | Some ev when Eval.platform ev == p ->
         Eval.rom_any_peak ev ~samples_per_segment:16 (schedule_of_config c)
     | Some _ | None ->
-        Sched.Peak.of_any p.model p.power ~samples_per_segment:16
-          (schedule_of_config c)
+        Sched.Peak.of_any (Thermal.Backend.of_model p.model) p.power
+          ~samples_per_segment:16 (schedule_of_config c)
 
 (* Stable-status end-of-period core temperatures (the quantity the TPT
    index differentiates).  For shifted configs we fall back to the peak
@@ -125,15 +127,16 @@ let hot_metric (p : Platform.t) ?eval c =
         Eval.two_mode_end_core_temps ev ~period:c.period ~low:c.v_low
           ~high:c.v_high ~high_ratio
     | Some _ | None ->
-        Sched.Peak.two_mode_end_core_temps p.model p.power ~period:c.period
-          ~low:c.v_low ~high:c.v_high ~high_ratio
+        Sched.Peak.two_mode_end_core_temps (Thermal.Backend.of_model p.model) p.power
+          ~period:c.period ~low:c.v_low ~high:c.v_high ~high_ratio
   end
   else
     match eval with
     | Some ev when Eval.platform ev == p ->
         Eval.stable_end_core_temps ev (schedule_of_config c)
     | Some _ | None ->
-        Sched.Peak.stable_end_core_temps p.model p.power (schedule_of_config c)
+        Sched.Peak.stable_end_core_temps (Thermal.Backend.of_model p.model) p.power
+          (schedule_of_config c)
 
 (* A core can give up high time as long as ANY remains — the final
    exchange may be smaller than t_unit (with_high_time clamps at 0), so

@@ -32,7 +32,8 @@ let solve ?eval (p : Platform.t) =
     peak =
       (match eval with
       | Some ev when Eval.platform ev == p -> Eval.steady_peak ev voltages
-      | Some _ | None -> Sched.Peak.steady_constant p.model p.power voltages);
+      | Some _ | None ->
+          Sched.Peak.steady_constant (Thermal.Backend.of_model p.model) p.power voltages);
   }
 
 type Solver.details += Details of result

@@ -18,7 +18,9 @@ let run ?(seed = 7) ?(m_max = 50) () =
   let series =
     List.init m_max (fun k ->
         let m = k + 1 in
-        (m, Sched.Peak.of_step_up model pm (Sched.Oscillate.oscillate m schedule)))
+        ( m,
+          Sched.Peak.of_step_up (Thermal.Backend.of_model model) pm
+            (Sched.Oscillate.oscillate m schedule) ))
   in
   let monotone =
     let rec check = function

@@ -23,6 +23,8 @@ let fresh_cache () =
   { table = Hashtbl.create 64; order = Queue.create (); lock = Mutex.create () }
 
 let constant ~alpha ~gamma ~beta =
+  if not (Float.is_finite alpha && Float.is_finite gamma && Float.is_finite beta)
+  then invalid_arg "Power_model.constant: non-finite coefficient";
   if alpha < 0. || gamma < 0. || beta < 0. then
     invalid_arg "Power_model.constant: negative coefficient";
   {
@@ -35,6 +37,7 @@ let constant ~alpha ~gamma ~beta =
 let default = constant ~alpha:0.5 ~gamma:9.0 ~beta:0.05
 
 let psi pm v =
+  if not (Float.is_finite v) then invalid_arg "Power_model.psi: non-finite voltage";
   if v < 0. then invalid_arg "Power_model.psi: negative voltage";
   if Float.equal v 0. then 0. else pm.alpha v +. (pm.gamma v *. (v *. v *. v))
 

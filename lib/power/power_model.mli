@@ -30,12 +30,12 @@ type t = {
 val default : t
 
 (** [constant ~alpha ~gamma ~beta] builds a mode-independent model.
-    Raises [Invalid_argument] on negative coefficients. *)
+    Raises [Invalid_argument] on negative or non-finite coefficients. *)
 val constant : alpha:float -> gamma:float -> beta:float -> t
 
 (** [psi pm v] is the temperature-independent power [alpha + gamma v^3]
     of a core at voltage [v], or [0.] for an inactive core ([v = 0]).
-    Raises [Invalid_argument] on negative voltages. *)
+    Raises [Invalid_argument] on negative or non-finite voltages. *)
 val psi : t -> float -> float
 
 (** [psi_vector pm voltages] maps {!psi} over a per-core voltage

@@ -3,13 +3,17 @@ type level_set = { voltages : float array }
 let make voltage_list =
   if voltage_list = [] then invalid_arg "Vf.make: empty level set";
   List.iter
-    (fun v -> if v <= 0. then invalid_arg "Vf.make: non-positive voltage level")
+    (fun v ->
+      if not (Float.is_finite v) then invalid_arg "Vf.make: non-finite voltage level";
+      if v <= 0. then invalid_arg "Vf.make: non-positive voltage level")
     voltage_list;
   let sorted = List.sort_uniq Float.compare voltage_list in
   { voltages = Array.of_list sorted }
 
 let range ~lo ~hi ~step =
-  if step <= 0. then invalid_arg "Vf.range: non-positive step";
+  if not (step > 0.) then invalid_arg "Vf.range: non-positive step";
+  if not (Float.is_finite lo && Float.is_finite hi) then
+    invalid_arg "Vf.range: non-finite bound";
   if hi < lo then invalid_arg "Vf.range: hi < lo";
   let rec collect v acc =
     if v > hi +. 1e-9 then List.rev acc else collect (v +. step) (v :: acc)

@@ -11,13 +11,15 @@ type level_set = {
 }
 
 (** [make voltages] sorts, deduplicates and validates a level set.
-    Raises [Invalid_argument] when empty or containing non-positive
-    voltages. *)
+    Raises [Invalid_argument] when empty or containing non-positive or
+    non-finite (NaN, infinite) voltages. *)
 val make : float list -> level_set
 
 (** [range ~lo ~hi ~step] is the dense grid the paper assumes for the
     continuous baseline: [lo, lo+step, ..., hi] (inclusive within 1e-9).
-    The paper's processors use [range ~lo:0.6 ~hi:1.3 ~step:0.05]. *)
+    The paper's processors use [range ~lo:0.6 ~hi:1.3 ~step:0.05].
+    Raises [Invalid_argument] on a non-positive step, a non-finite bound
+    or [hi < lo]. *)
 val range : lo:float -> hi:float -> step:float -> level_set
 
 (** [table_iv n] is the paper's Table IV selection for [n] in 2..5:

@@ -2,7 +2,10 @@ type segment = { duration : float; voltage : float }
 type t = { period : float; cores : segment list array }
 
 let validate s =
-  if s.period <= 0. then invalid_arg "Schedule: non-positive period";
+  (* Negated guards: every comparison with NaN is false, so [x <= 0.]
+     would let a NaN through. *)
+  if not (s.period > 0. && Float.is_finite s.period) then
+    invalid_arg "Schedule: period must be positive and finite";
   if Array.length s.cores = 0 then invalid_arg "Schedule: no cores";
   Array.iteri
     (fun i segments ->
@@ -10,10 +13,11 @@ let validate s =
         invalid_arg (Printf.sprintf "Schedule: core %d has no segments" i);
       List.iter
         (fun seg ->
-          if seg.duration <= 0. then
+          if not (seg.duration > 0.) then
             invalid_arg (Printf.sprintf "Schedule: core %d has a non-positive duration" i);
-          if seg.voltage < 0. then
-            invalid_arg (Printf.sprintf "Schedule: core %d has a negative voltage" i))
+          if not (seg.voltage >= 0. && Float.is_finite seg.voltage) then
+            invalid_arg
+              (Printf.sprintf "Schedule: core %d has a negative or non-finite voltage" i))
         segments;
       let total = List.fold_left (fun acc seg -> acc +. seg.duration) 0. segments in
       if Float.abs (total -. s.period) > 1e-9 *. Float.max 1. s.period then

@@ -10,28 +10,51 @@ type t = {
   correct_cores : state:Linalg.Vec.t -> deltas:Linalg.Vec.t -> unit;
   core_temps : Linalg.Vec.t -> Linalg.Vec.t;
   max_core_temp : Linalg.Vec.t -> float;
-  steady_core_temps : Linalg.Vec.t -> Linalg.Vec.t;
   steady_peak : Linalg.Vec.t -> float;
-  stable_core_temps : Matex.profile -> Linalg.Vec.t;
-  stable_peak : Matex.profile -> float;
+  stable_begin : unit -> unit;
+  stable_feed : duration:float -> psi:Linalg.Vec.t -> unit;
+  stable_solve : t_p:float -> Linalg.Vec.t;
   peak_scan : samples_per_segment:int -> Matex.profile -> float;
   peak_refined : samples_per_segment:int -> tol:float -> Matex.profile -> float;
+  base_begin : t_p:float -> unit;
+  base_feed :
+    core:int -> psi_low:float -> psi_high:float -> high_ratio:float -> unit;
+  base_solve : unit -> Linalg.Vec.t;
+  delta_peak :
+    core:int -> psi_low:float -> psi_high:float -> high_ratio:float -> float;
+  delta_core_temp :
+    at:int -> core:int -> psi_low:float -> psi_high:float -> high_ratio:float ->
+    float;
 }
+
+(* Every hot field is a full-arity lambda, not a partial application:
+   the evaluators call these once per fed span, and a saturated closure
+   call skips the runtime's currying path. *)
 
 let of_model model =
   let eng = Modal.make model in
   let n = Model.n_nodes model in
-  (* Modal images of a +1 K bump at each core node, solved eagerly at
-     wrap time (one matvec per core; [Lazy] is not domain-safe).  Reading
-     the corrected state back through the core rows of W recovers the
-     bump exactly: core_rows . W^{-1} e_node = e_core. *)
-  let core_cols =
-    Array.map
-      (fun node ->
-        let e = Linalg.Vec.zeros n in
-        e.(node) <- 1.;
-        Modal.to_modal eng e)
-      (Model.core_nodes model)
+  (* Modal images of a +1 K bump at each core node (one matvec per
+     core), built on the first correction so that wrapping stays as
+     cheap as [Modal.make].  Domains racing on the first correction
+     compute identical tables and one store wins.  Reading the
+     corrected state back through the core rows of W recovers the bump
+     exactly: core_rows . W^{-1} e_node = e_core. *)
+  let cols = Atomic.make None in
+  let core_cols () =
+    match Atomic.get cols with
+    | Some c -> c
+    | None ->
+        let c =
+          Array.map
+            (fun node ->
+              let e = Linalg.Vec.zeros n in
+              e.(node) <- 1.;
+              Modal.to_modal eng e)
+            (Model.core_nodes model)
+        in
+        Atomic.set cols (Some c);
+        c
   in
   {
     name = "dense-modal";
@@ -43,6 +66,7 @@ let of_model model =
     step_into = (fun ~dt ~state ~psi ~dst -> Modal.step_into eng ~dt ~z:state ~psi ~dst);
     correct_cores =
       (fun ~state ~deltas ->
+        let core_cols = core_cols () in
         if Linalg.Vec.dim deltas <> Array.length core_cols then
           invalid_arg "Backend.correct_cores: deltas arity differs from core count";
         if Linalg.Vec.dim state <> n then
@@ -55,52 +79,37 @@ let of_model model =
                 state.(j) <- state.(j) +. (d *. col.(j))
               done)
           core_cols);
-    core_temps = Modal.core_temps eng;
-    max_core_temp = Modal.max_core_temp eng;
-    steady_core_temps = (fun psi -> Modal.core_temps eng (Modal.z_inf eng psi));
-    steady_peak = Modal.steady_peak eng;
-    stable_core_temps = Matex.stable_core_temps ~engine:eng model;
-    stable_peak = Matex.end_of_period_peak ~engine:eng model;
+    core_temps = (fun z -> Modal.core_temps eng z);
+    max_core_temp = (fun z -> Modal.max_core_temp eng z);
+    steady_peak = (fun psi -> Modal.steady_peak eng psi);
+    stable_begin = (fun () -> Modal.stable_begin eng);
+    stable_feed = (fun ~duration ~psi -> Modal.stable_feed eng ~duration ~psi);
+    stable_solve = (fun ~t_p -> Modal.stable_solve eng ~t_p);
     peak_scan =
       (fun ~samples_per_segment profile ->
         Matex.peak_scan ~engine:eng model ~samples_per_segment profile);
     peak_refined =
       (fun ~samples_per_segment ~tol profile ->
         Matex.peak_refined ~engine:eng model ~samples_per_segment ~tol profile);
-  }
-
-let of_sparse eng =
-  {
-    name = "sparse-krylov";
-    n_nodes = Sparse_model.n_nodes eng;
-    n_cores = Sparse_model.n_cores eng;
-    ambient = Sparse_model.ambient eng;
-    ambient_state = (fun () -> Sparse_model.ambient_state eng);
-    step = Sparse_model.step eng;
-    step_into =
-      (fun ~dt ~state ~psi ~dst ->
-        let next = Sparse_model.step eng ~dt ~state ~psi in
-        Array.blit next 0 dst 0 (Sparse_model.n_nodes eng));
-    correct_cores = (fun ~state ~deltas -> Sparse_model.correct_cores eng ~state ~deltas);
-    core_temps = Sparse_model.core_temps eng;
-    max_core_temp = Sparse_model.max_core_temp eng;
-    steady_core_temps = Sparse_model.steady_core_temps eng;
-    steady_peak = Sparse_model.steady_peak eng;
-    stable_core_temps = Sparse_model.stable_core_temps eng;
-    stable_peak = Sparse_model.end_of_period_peak eng;
-    peak_scan =
-      (fun ~samples_per_segment profile ->
-        Sparse_model.peak_scan eng ~samples_per_segment profile);
-    peak_refined =
-      (fun ~samples_per_segment ~tol profile ->
-        Sparse_model.peak_refined eng ~samples_per_segment ~tol profile);
+    base_begin = (fun ~t_p -> Modal.base_begin eng ~t_p);
+    base_feed =
+      (fun ~core ~psi_low ~psi_high ~high_ratio ->
+        Modal.base_feed eng ~core ~psi_low ~psi_high ~high_ratio);
+    base_solve = (fun () -> Modal.base_solve eng);
+    delta_peak =
+      (fun ~core ~psi_low ~psi_high ~high_ratio ->
+        Modal.delta_peak eng ~core ~psi_low ~psi_high ~high_ratio);
+    delta_core_temp =
+      (fun ~at ~core ~psi_low ~psi_high ~high_ratio ->
+        Modal.delta_core_temp eng ~at ~core ~psi_low ~psi_high ~high_ratio);
   }
 
 let of_response resp =
   let eng = Sparse_response.engine resp in
+  let n = Sparse_response.n_nodes resp in
   {
     name = "sparse-response";
-    n_nodes = Sparse_response.n_nodes resp;
+    n_nodes = n;
     n_cores = Sparse_response.n_cores resp;
     ambient = Sparse_response.ambient resp;
     ambient_state = (fun () -> Sparse_model.ambient_state eng);
@@ -108,22 +117,31 @@ let of_response resp =
     step_into =
       (fun ~dt ~state ~psi ~dst ->
         let next = Sparse_response.step resp ~dt ~state ~psi in
-        Array.blit next 0 dst 0 (Sparse_model.n_nodes eng));
-    correct_cores = (fun ~state ~deltas -> Sparse_model.correct_cores eng ~state ~deltas);
-    core_temps = Sparse_model.core_temps eng;
-    max_core_temp = Sparse_model.max_core_temp eng;
-    steady_core_temps = Sparse_response.steady_core_temps resp;
-    steady_peak = Sparse_response.steady_peak resp;
-    stable_core_temps = Sparse_response.stable_core_temps resp;
-    stable_peak = Sparse_response.end_of_period_peak resp;
+        Array.blit next 0 dst 0 n);
+    correct_cores = Sparse_model.correct_cores eng;
+    core_temps = (fun y -> Sparse_model.core_temps eng y);
+    max_core_temp = (fun y -> Sparse_model.max_core_temp eng y);
+    steady_peak = (fun psi -> Sparse_response.steady_peak resp psi);
+    stable_begin = (fun () -> Sparse_response.stable_begin resp);
+    stable_feed =
+      (fun ~duration ~psi -> Sparse_response.stable_feed resp ~duration ~psi);
+    stable_solve = (fun ~t_p -> Sparse_response.stable_solve resp ~t_p);
     peak_scan =
       (fun ~samples_per_segment profile ->
         Sparse_response.peak_scan resp ~samples_per_segment profile);
     peak_refined =
       (fun ~samples_per_segment ~tol profile ->
         Sparse_response.peak_refined resp ~samples_per_segment ~tol profile);
+    base_begin = (fun ~t_p -> Sparse_response.base_begin resp ~t_p);
+    base_feed =
+      (fun ~core ~psi_low ~psi_high ~high_ratio ->
+        Sparse_response.base_feed resp ~core ~psi_low ~psi_high ~high_ratio);
+    base_solve = (fun () -> Sparse_response.base_solve resp);
+    delta_peak =
+      (fun ~core ~psi_low ~psi_high ~high_ratio ->
+        Sparse_response.delta_peak resp ~core ~psi_low ~psi_high ~high_ratio);
+    delta_core_temp =
+      (fun ~at ~core ~psi_low ~psi_high ~high_ratio ->
+        Sparse_response.delta_core_temp resp ~at ~core ~psi_low ~psi_high
+          ~high_ratio);
   }
-
-let sparse_of_spec ?pool spec = of_sparse (Sparse_model.of_spec ?pool spec)
-let sparse_of_model ?pool model = of_sparse (Sparse_model.of_model ?pool model)
-let dense_of_spec spec = of_model (Spec.to_model spec)

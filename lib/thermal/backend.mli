@@ -1,24 +1,26 @@
-(** Uniform thermal-evaluation backend interface.
+(** The thermal engine record: the one value every evaluator runs on.
 
     Policies and experiment drivers ask a small set of questions —
     steady peaks, stable-status temperatures, scanned/refined period
-    peaks, exact transient steps — and must not care whether the answers
-    come from the dense modal engine ({!Modal}, O(n³) build, exact
-    eigenbasis) or the sparse Krylov engine ({!Sparse_model}, O(nnz)
-    build, CG + Lanczos solves).  A backend is a record of closures over
-    one of those engines; {!Core.Eval} and {!Sched.Peak} consume it, so
-    every registered policy runs unchanged on either implementation.
+    peaks, prepared-base delta scores, exact transient steps — and must
+    not care whether the answers come from the dense modal engine
+    ({!Modal}, O(n³) build, exact eigenbasis) or the sparse
+    superposition engine ({!Sparse_response} over {!Sparse_model},
+    O(nnz) build, CG + Lanczos solves).  A backend is a record of
+    closures over one of those engines; {!Sched.Peak} writes each
+    evaluator once over it, {!Core.Eval} holds one per context, and the
+    closed-loop runtime steps and corrects its states.
 
     States are opaque to callers: modal coordinates for the dense
     backend, symmetrized node coordinates for the sparse one.  Obtain
-    them only from {!field:ambient_state}/{!field:step} of the SAME
-    backend and read them through {!field:core_temps}/
-    {!field:max_core_temp}.  The differential suite pins both
-    implementations to each other to ≤ 1e-9. *)
+    them only from {!field:ambient_state}/{!field:step}/
+    {!field:stable_solve}/{!field:base_solve} of the SAME backend and
+    read them through {!field:core_temps}/{!field:max_core_temp}.  The
+    differential suite pins both implementations to each other to
+    ≤ 1e-9. *)
 
 type t = {
-  name : string;
-      (** ["dense-modal"], ["sparse-krylov"], or ["sparse-response"]. *)
+  name : string;  (** ["dense-modal"] or ["sparse-response"]. *)
   n_nodes : int;
   n_cores : int;
   ambient : float;
@@ -30,7 +32,7 @@ type t = {
       (** {!field:step} writing into a caller-owned buffer [dst] (same
           length as [state], physically distinct from it) — the epoch
           loop's ping-pong hook.  Allocation-free on the dense backend;
-          the sparse backends fall back to [step] plus a blit. *)
+          the sparse backend falls back to [step] plus a blit. *)
   correct_cores : state:Linalg.Vec.t -> deltas:Linalg.Vec.t -> unit;
       (** In-place measured-state correction: add [deltas.(k)] kelvin to
           core [k]'s temperature reading, mapped into the backend's
@@ -40,47 +42,61 @@ type t = {
   core_temps : Linalg.Vec.t -> Linalg.Vec.t;
       (** Absolute core temperatures of a state. *)
   max_core_temp : Linalg.Vec.t -> float;
-  steady_core_temps : Linalg.Vec.t -> Linalg.Vec.t;
-      (** Absolute steady core temperatures under constant powers. *)
   steady_peak : Linalg.Vec.t -> float;
-  stable_core_temps : Matex.profile -> Linalg.Vec.t;
-      (** Absolute core temperatures at the periodic stable-status
-          period boundary. *)
-  stable_peak : Matex.profile -> float;
-      (** Hottest core at the stable-status period boundary — the
-          step-up evaluator of Theorem 1. *)
+      (** Hottest absolute steady core temperature under constant
+          powers. *)
+  stable_begin : unit -> unit;
+      (** Reset this domain's streaming stable-status accumulator. *)
+  stable_feed : duration:float -> psi:Linalg.Vec.t -> unit;
+      (** Fold one constant-power segment into the accumulator, in
+          period order.  Raises [Invalid_argument] on a non-positive
+          duration. *)
+  stable_solve : t_p:float -> Linalg.Vec.t;
+      (** The periodic stable status at the period boundary of the
+          segments fed since {!field:stable_begin}.  Pass [t_p] as the
+          left-to-right sum of the fed durations ({!Matex.period} of
+          the profile), not an independently known period: the two can
+          differ in the last bit, and every exact path must solve the
+          identical fixed point for the peak memo to stay bit-exact.
+          The result may be per-domain scratch, valid until the next
+          streaming evaluation on this domain. *)
   peak_scan : samples_per_segment:int -> Matex.profile -> float;
       (** Dense scan of the stable-status period. *)
   peak_refined : samples_per_segment:int -> tol:float -> Matex.profile -> float;
       (** Scan plus golden-section refinement. *)
+  base_begin : t_p:float -> unit;
+      (** Start preparing an aligned two-mode base config with period
+          [t_p] on this domain (DESIGN.md §14).  The prepared base is
+          per-domain scratch disjoint from the streaming stable state:
+          prepare and evaluate on the same domain. *)
+  base_feed :
+    core:int -> psi_low:float -> psi_high:float -> high_ratio:float -> unit;
+      (** Record core [core]'s two-mode terms: low/high power draws
+          (pre-leakage, as {!Power.Power_model.psi} returns them) and
+          the high-time fraction.  Every core must be fed once. *)
+  base_solve : unit -> Linalg.Vec.t;
+      (** Solve the prepared base and arm the delta evaluators; returns
+          the base stable status (per-domain scratch). *)
+  delta_peak :
+    core:int -> psi_low:float -> psi_high:float -> high_ratio:float -> float;
+      (** Hottest end-of-period core temperature of the candidate equal
+          to the prepared base except core [core]'s terms. *)
+  delta_core_temp :
+    at:int -> core:int -> psi_low:float -> psi_high:float -> high_ratio:float ->
+    float;
+      (** The same candidate's end-of-period temperature at core [at]. *)
 }
 
 (** [of_model model] is the dense reference backend: the model's cached
-    {!Modal} response engine behind the uniform interface. *)
+    {!Modal} response engine ({!Modal.make}, memoized per model) behind
+    the record.  As cheap to call repeatedly as {!Modal.make}: the
+    state-correction table is built on first use. *)
 val of_model : Model.t -> t
 
-(** [sparse_of_model ?pool model] runs the sparse Krylov engine on the
-    spec reconstructed from a dense model ({!Spec.of_model}) — the
-    differential-testing bridge. *)
-val sparse_of_model : ?pool:Util.Pool.t -> Model.t -> t
-
-(** [sparse_of_spec ?pool spec] is the sparse backend of a problem
-    description — never builds anything dense, so it is the only
-    constructor that scales to 256–1024 cells. *)
-val sparse_of_spec : ?pool:Util.Pool.t -> Spec.t -> t
-
-(** [dense_of_spec spec] assembles the dense model of a spec (including
-    its O(n³) eigensolve) and wraps it — the reference arm of
-    dense-versus-sparse comparisons; do not call at large n. *)
-val dense_of_spec : Spec.t -> t
-
-(** [of_sparse eng] wraps an already-assembled sparse engine. *)
-val of_sparse : Sparse_model.t -> t
-
-(** [of_response resp] wraps a {!Sparse_response} superposition engine:
-    steady and stable evaluators superpose over the unit-response tables
-    (and warm-start the fixed-point CG) instead of solving per-candidate
-    steady systems.  Same answers as {!of_sparse} to Krylov truncation;
-    pays the [n_cores + 1] unit solves up front, so prefer {!of_sparse}
-    for one-shot evaluations and this wrapper inside search loops. *)
+(** [of_response resp] is the sparse backend over a {!Sparse_response}
+    superposition engine: steady and stable evaluators superpose over
+    the unit-response tables (and warm-start the fixed-point CG) instead
+    of solving per-candidate steady systems.  Pays the [n_cores + 1]
+    unit solves when [resp] is built; for a one-shot evaluation call
+    {!Sparse_model} directly. *)
 val of_response : Sparse_response.t -> t

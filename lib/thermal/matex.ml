@@ -83,9 +83,9 @@ let stable_z_streamed eng profile =
   in
   Modal.stable_solve eng ~t_p
 
-let stable_core_temps ?engine model profile =
+let stable_core_temps model profile =
   validate model profile;
-  let eng = engine_for ?engine model in
+  let eng = Modal.make model in
   Modal.core_temps eng (stable_z_streamed eng profile)
 
 let peak_at_boundaries model profile =
@@ -96,9 +96,9 @@ let peak_at_boundaries model profile =
     (fun acc z -> Float.max acc (Modal.max_core_temp eng z))
     neg_infinity zs
 
-let end_of_period_peak ?engine model profile =
+let end_of_period_peak model profile =
   validate model profile;
-  let eng = engine_for ?engine model in
+  let eng = Modal.make model in
   Modal.max_core_temp eng (stable_z_streamed eng profile)
 
 (* Visit the [samples] interior/end states of [seg] starting from modal

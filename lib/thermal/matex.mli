@@ -51,10 +51,8 @@ val stable_boundaries : Model.t -> profile -> Linalg.Vec.t array
     temperatures at the stable-status period boundary — like
     [Model.core_temps_of_theta] of {!stable_start}, but streamed through
     the response engine's scratch buffers: superposed equilibria, table
-    decay factors, and only the modal core rows applied at the end.
-    [engine] may pass the model's cached engine explicitly (raises
-    [Invalid_argument] if it belongs to a different model). *)
-val stable_core_temps : ?engine:Modal.t -> Model.t -> profile -> Linalg.Vec.t
+    decay factors, and only the modal core rows applied at the end. *)
+val stable_core_temps : Model.t -> profile -> Linalg.Vec.t
 
 (** [peak_at_boundaries model profile] is the hottest absolute core
     temperature over the stable-status segment boundaries.  For a step-up
@@ -73,7 +71,7 @@ val peak_scan : ?engine:Modal.t -> Model.t -> ?samples_per_segment:int -> profil
     Theorem 1 says bounds a step-up schedule.  The candidate-evaluation
     hot path: one streamed superposition pass, zero LU solves, zero
     allocation beyond the per-domain scratch. *)
-val end_of_period_peak : ?engine:Modal.t -> Model.t -> profile -> float
+val end_of_period_peak : Model.t -> profile -> float
 
 (** [stable_core_trace model ~samples_per_segment profile] samples the
     stable-status period densely and returns [(time, absolute core

@@ -22,9 +22,10 @@ type t = private {
 
 (** [make ~ambient ~leak_beta ~capacitance ~to_ambient ~edges
     ~core_nodes ()] validates and builds a spec.  Raises
-    [Invalid_argument] on arity mismatches, non-positive capacitances,
-    negative conductances, self-loops, out-of-range or duplicate core
-    nodes, or an empty core set. *)
+    [Invalid_argument] on arity mismatches, a non-finite ambient,
+    non-positive capacitances, negative conductances or leakage slope
+    (NaN and infinities included), self-loops, out-of-range or duplicate
+    core nodes, or an empty core set. *)
 val make :
   ambient:float ->
   leak_beta:float ->

@@ -49,7 +49,54 @@ let test_platform_rejects_non_finite () =
        P.sheet ~rows:2 ~cols:2 ~levels:(Power.Vf.table_iv 2) ~t_max:Float.nan ()
      with
     | exception Invalid_argument _ -> true
-    | _ -> false)
+    | _ -> false);
+  (* The schedule, level-set, power-model and spec constructors reject
+     them too: a NaN voltage once reached the thermal solve and came
+     back as a [-inf] peak. *)
+  let raises f =
+    match f () with exception (Invalid_argument _ | Failure _) -> true | _ -> false
+  in
+  let nan = Float.nan and inf = Float.infinity in
+  let spec ?(ambient = 35.) ?(leak_beta = 0.05) ?(g = 1.) () =
+    Thermal.Spec.make ~ambient ~leak_beta ~capacitance:[| 1.; 1. |]
+      ~to_ambient:[| 0.5; 0.5 |] ~edges:[ (0, 1, g) ] ~core_nodes:[| 0; 1 |] ()
+  in
+  List.iter
+    (fun (what, f) -> Alcotest.(check bool) what true (raises f))
+    [
+      ( "Schedule.of_string nan voltage",
+        fun () ->
+          ignore
+            (Sched.Schedule.of_string "period 0.1\ncore 0: 0.1@nan\ncore 1: 0.1@1.0") );
+      ("Schedule.of_string nan period", fun () ->
+          ignore (Sched.Schedule.of_string "period nan\ncore 0: 0.1@1.0"));
+      ("Schedule.uniform inf voltage", fun () ->
+          ignore (Sched.Schedule.uniform ~period:0.1 [| 1.0; inf |]));
+      ("Schedule.uniform inf period", fun () ->
+          ignore (Sched.Schedule.uniform ~period:inf [| 1.0 |]));
+      ("Schedule.make nan duration", fun () ->
+          ignore
+            (Sched.Schedule.make ~period:0.1
+               [| [ { Sched.Schedule.duration = nan; voltage = 1. } ] |]));
+      ("Vf.make nan level", fun () -> ignore (Power.Vf.make [ 0.6; nan; 1.0 ]));
+      ("Vf.make inf level", fun () -> ignore (Power.Vf.make [ 0.6; inf ]));
+      ("Vf.range inf hi", fun () -> ignore (Power.Vf.range ~lo:0.6 ~hi:inf ~step:0.1));
+      ("Vf.range nan step", fun () -> ignore (Power.Vf.range ~lo:0.6 ~hi:1. ~step:nan));
+      ("Power_model.constant nan alpha", fun () ->
+          ignore (Power.Power_model.constant ~alpha:nan ~gamma:9. ~beta:0.05));
+      ("Power_model.constant inf beta", fun () ->
+          ignore (Power.Power_model.constant ~alpha:0.5 ~gamma:9. ~beta:inf));
+      ("Power_model.psi nan", fun () ->
+          ignore (Power.Power_model.psi Power.Power_model.default nan));
+      ("Power_model.psi inf", fun () ->
+          ignore (Power.Power_model.psi Power.Power_model.default inf));
+      ("Spec.make nan leak_beta", fun () -> ignore (spec ~leak_beta:nan ()));
+      ("Spec.make inf leak_beta", fun () -> ignore (spec ~leak_beta:inf ()));
+      ("Spec.make nan edge conductance", fun () -> ignore (spec ~g:nan ()));
+      ("Spec.make inf edge conductance", fun () -> ignore (spec ~g:inf ()));
+      ("Spec.make nan ambient", fun () -> ignore (spec ~ambient:nan ()));
+    ];
+  Alcotest.(check bool) "finite spec accepted" false (raises (fun () -> ignore (spec ())))
 
 (* A NaN duty ratio is rejected by every two-mode entry point: the
    schedule builder, the fused dense and sparse evaluators, and both
@@ -70,10 +117,11 @@ let test_two_mode_rejects_nan_ratio () =
       (match f () with exception Invalid_argument _ -> true | _ -> false)
   in
   rejected "Schedule.two_mode + Peak.of_step_up" (fun () ->
-      Sched.Peak.of_step_up p.P.model p.P.power
+      Sched.Peak.of_step_up (Thermal.Backend.of_model p.P.model) p.P.power
         (Sched.Schedule.two_mode ~period ~low ~high ~high_ratio:bad));
   rejected "Peak.of_two_mode" (fun () ->
-      Sched.Peak.of_two_mode p.P.model p.P.power ~period ~low ~high ~high_ratio:bad);
+      Sched.Peak.of_two_mode (Thermal.Backend.of_model p.P.model) p.P.power ~period ~low
+        ~high ~high_ratio:bad);
   List.iter
     (fun (name, backend) ->
       let ev = Core.Eval.create ~cache_size:0 ~backend p in
@@ -98,7 +146,10 @@ let test_ideal_reaches_tmax () =
   let p = platform3 () in
   let r = Core.Ideal.solve p in
   (* Unclamped ideal assignment puts the steady state exactly at T_max. *)
-  let peak = Sched.Peak.steady_constant p.P.model p.P.power r.Core.Ideal.voltages in
+  let peak =
+    Sched.Peak.steady_constant (Thermal.Backend.of_model p.P.model) p.P.power
+      r.Core.Ideal.voltages
+  in
   Alcotest.(check bool) "no clamping on this platform" true
     (Array.for_all not r.Core.Ideal.clamped);
   check_close 1e-6 "steady peak = T_max" 65. peak
@@ -133,7 +184,8 @@ let test_ideal_refine_no_worse () =
     (refined.Core.Ideal.throughput >= plain.Core.Ideal.throughput -. 1e-9);
   (* Refined assignment stays feasible. *)
   let peak =
-    Sched.Peak.steady_constant p.P.model p.P.power refined.Core.Ideal.voltages
+    Sched.Peak.steady_constant (Thermal.Backend.of_model p.P.model) p.P.power
+      refined.Core.Ideal.voltages
   in
   Alcotest.(check bool) "refined stays under T_max" true (peak <= p.P.t_max +. 1e-6)
 
@@ -412,7 +464,8 @@ let prop_ao_always_feasible =
       let p = Workload.Configs.platform ~cores ~levels ~t_max in
       let ao = Core.Ao.solve p in
       let dense =
-        Sched.Peak.of_any_refined p.P.model p.P.power ~samples_per_segment:32
+        Sched.Peak.of_any_refined (Thermal.Backend.of_model p.P.model) p.P.power
+          ~samples_per_segment:32
           ao.Core.Ao.schedule
       in
       ao.Core.Ao.peak <= t_max +. 1e-6 && dense <= t_max +. 0.05)

@@ -152,7 +152,7 @@ let test_peak_refined_at_least_scan () =
       Workload.Random_sched.arbitrary rng ~n_cores:3 ~period:0.5 ~max_intervals:4
         ~levels:(Power.Vf.table_iv 5)
     in
-    let profile = Sched.Peak.profile m pm s in
+    let profile = Sched.Peak.profile (Thermal.Backend.of_model m) pm s in
     let scan = Thermal.Matex.peak_scan m ~samples_per_segment:16 profile in
     let refined = Thermal.Matex.peak_refined m ~samples_per_segment:16 profile in
     Alcotest.(check bool) "refined >= scan" true (refined >= scan -. 1e-9)
@@ -176,8 +176,10 @@ let test_peak_of_any_refined_step_up_consistent () =
     Sched.Schedule.two_mode ~period:0.05 ~low:[| 0.6; 0.6; 0.6 |]
       ~high:[| 1.3; 1.3; 1.3 |] ~high_ratio:[| 0.4; 0.5; 0.6 |]
   in
-  let cheap = Sched.Peak.of_step_up m pm s in
-  let refined = Sched.Peak.of_any_refined m pm ~samples_per_segment:16 s in
+  let cheap = Sched.Peak.of_step_up (Thermal.Backend.of_model m) pm s in
+  let refined =
+    Sched.Peak.of_any_refined (Thermal.Backend.of_model m) pm ~samples_per_segment:16 s
+  in
   Alcotest.(check bool) "refined within coupling tolerance of Theorem 1" true
     (refined >= cheap -. 1e-9 && refined <= cheap +. 0.1)
 
@@ -517,7 +519,7 @@ let test_theorem1_exact_without_coupling () =
       Workload.Random_sched.step_up rng ~n_cores:3 ~period:0.6 ~max_intervals:4
         ~levels:(Power.Vf.table_iv 5)
     in
-    let profile = Sched.Peak.profile m pm s in
+    let profile = Sched.Peak.profile (Thermal.Backend.of_model m) pm s in
     let end_peak = Thermal.Matex.end_of_period_peak m profile in
     let true_peak = Thermal.Matex.peak_refined m ~samples_per_segment:32 profile in
     Alcotest.(check bool) "no exceedance at zero coupling" true
