@@ -504,7 +504,7 @@ let tests () =
      let ev_probe =
        Core.Eval.create ~backend:Core.Eval.Sparse ~cache_size:0 probe
      in
-     let peak0 = Core.Tpt.peak probe ~eval:ev_probe c0 in
+     let peak0 = Core.Tpt.peak ev_probe c0 in
      let p =
        Core.Platform.sheet ~rows:16 ~cols:16 ~levels:(Power.Vf.table_iv 5)
          ~t_max:(peak0 +. 0.3) ()
@@ -513,7 +513,7 @@ let tests () =
      Test.make ~name:"kernel/fill-headroom-256-delta"
        (Staged.stage (fun () ->
             ignore
-              (Core.Tpt.fill_headroom p ~eval:ev ~par:false
+              (Core.Tpt.fill_headroom ev ~par:false
                  ~t_unit:(period /. 4.) ~delta_margin:1.0 c0))));
     (let profile3 = Sched.Peak.profile dense3 pm (Sched.Schedule.two_mode ~period:0.1 ~low:[| 0.6; 0.6; 0.6 |] ~high:[| 1.3; 1.3; 1.3 |] ~high_ratio:[| 0.4; 0.5; 0.6 |]) in
      Test.make ~name:"ext/peak-refined-3core"
@@ -545,13 +545,6 @@ let tests () =
      Test.make ~name:"kernel/pool-map-overhead"
        (Staged.stage (fun () ->
             ignore (Util.Pool.map_array (fun x -> x + 1) xs))));
-    (let p3g = Workload.Configs.platform ~cores:3 ~levels:5 ~t_max:65. in
-     Test.make ~name:"ext/governor-1s"
-       (Staged.stage (fun () ->
-            ignore
-              (Runtime.Governor.simulate p3g
-                 (Runtime.Governor.Threshold { guard = 2. })
-                 ~duration:1. ()))));
     (* Epoch-loop throughput on the dense modal plant: 50 epochs of the
        hysteresis controller, sensing and stepping included. *)
     (let ev3 =

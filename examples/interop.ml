@@ -83,7 +83,7 @@ let () =
 
   (* 6. AO schedule for the same chip, rendered. *)
   let platform = Core.Platform.make ~levels:(Power.Vf.table_iv 5) ~t_max:60. model in
-  let ao = Core.Ao.solve platform in
+  let ao = Core.Ao.solve (Core.Eval.create platform) in
   Util.Svg_plot.write (in_dir "ao_schedule.svg")
     (Sched.Render.gantt_svg ~title:"AO schedule" ao.Core.Ao.schedule);
   Printf.printf "AO: throughput %.4f at peak %.2f C; gantt -> %s\n"

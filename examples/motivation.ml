@@ -23,7 +23,8 @@ let () =
   Printf.printf "  note the middle core runs slower: its neighbours heat it.\n\n";
 
   Printf.printf "Step 2 - but only 0.6 V and 1.3 V exist.\n";
-  let lns = Core.Lns.solve platform in
+  let eval = Core.Eval.create platform in
+  let lns = Core.Lns.solve eval in
   Printf.printf "  LNS rounds everything down to 0.6 V: throughput %.4f.\n"
     lns.Core.Lns.throughput;
   let exs = Core.Exs.solve platform in
@@ -52,7 +53,7 @@ let () =
   Printf.printf "  (paper: 79.69 C).  The ratios must come down (Table III),\n";
   Printf.printf "  and oscillating FASTER (m-Oscillating) lets them stay higher:\n\n";
 
-  let ao = Core.Ao.solve platform in
+  let ao = Core.Ao.solve eval in
   Printf.printf "Step 4 - AO (Algorithm 2) does all of this automatically:\n";
   Printf.printf "  m = %d oscillations, throughput %.4f, peak %.2f C <= 65 C\n"
     ao.Core.Ao.m ao.Core.Ao.throughput ao.Core.Ao.peak;

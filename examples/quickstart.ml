@@ -29,10 +29,12 @@ let () =
   assert (Core.Platform.feasible platform);
 
   (* 3. Policies.  LNS and EXS are the baselines; AO is the paper's
-     frequency-oscillation algorithm. *)
-  let lns = Core.Lns.solve platform in
+     frequency-oscillation algorithm.  The searches price their
+     candidates through one evaluation context per platform. *)
+  let eval = Core.Eval.create platform in
+  let lns = Core.Lns.solve eval in
   let exs = Core.Exs.solve platform in
-  let ao = Core.Ao.solve platform in
+  let ao = Core.Ao.solve eval in
   Printf.printf "\nLNS throughput: %.4f (peak %.2f C)\n" lns.Core.Lns.throughput
     lns.Core.Lns.peak;
   Printf.printf "EXS throughput: %.4f (peak %.2f C, %d combinations)\n"
@@ -62,6 +64,6 @@ let () =
   Util.Svg_plot.write svg_path
     (Sched.Render.gantt_svg ~title:"AO 9-core schedule" ao.Core.Ao.schedule);
   Printf.printf "schedule rendered to %s\n" svg_path;
-  let sprint = Core.Sprint.plan platform in
+  let sprint = Core.Sprint.plan eval in
   Printf.printf "cold-start sprint at 1.3V: %.2fs before hitting T_max (%.2f extra work/core)\n"
     sprint.Core.Sprint.burst_duration sprint.Core.Sprint.sprint_gain

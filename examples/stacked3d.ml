@@ -38,8 +38,9 @@ let () =
         fp.Thermal.Floorplan.blocks.(i).Thermal.Floorplan.name v)
     ideal.Core.Ideal.voltages;
 
-  let lns = Core.Lns.solve platform in
-  let ao = Core.Ao.solve platform in
+  let eval = Core.Eval.create platform in
+  let lns = Core.Lns.solve eval in
+  let ao = Core.Ao.solve eval in
   Printf.printf "\nLNS throughput: %.4f\n" lns.Core.Lns.throughput;
   Printf.printf "AO  throughput: %.4f (m = %d, peak %.2f C)\n" ao.Core.Ao.throughput
     ao.Core.Ao.m ao.Core.Ao.peak;

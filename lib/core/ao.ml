@@ -47,8 +47,9 @@ let config_for_m (p : Platform.t) ~base_period ~v_low ~v_high ~ratio ?deltas m =
     offset = Array.make n 0.;
   }
 
-let solve ?eval ?(base_period = 0.1) ?(m_cap = 512) ?t_unit ?(fill = false)
-    ?(adjust = `Greedy) ?(par = true) ?(delta_margin = 0.) (p : Platform.t) =
+let solve ?(base_period = 0.1) ?(m_cap = 512) ?t_unit ?(fill = false)
+    ?(adjust = `Greedy) ?(par = true) ?(delta_margin = 0.) ev =
+  let p = Eval.platform ev in
   let n = Platform.n_cores p in
   let ideal = Ideal.solve p in
   (* Neighbouring modes and the throughput-preserving ratio of Eq. (11). *)
@@ -91,9 +92,9 @@ let solve ?eval ?(base_period = 0.1) ?(m_cap = 512) ?t_unit ?(fill = false)
     in
     let eval_m i =
       let period, high_ratio = ratios_for i in
-      Tpt.peak_aligned p ?eval ~period ~low:v_low ~high:v_high ~high_ratio ()
+      Eval.two_mode_peak ev ~period ~low:v_low ~high:v_high ~high_ratio
     in
-    let pool = Option.map Eval.pool eval in
+    let pool = Eval.pool ev in
     (* Fan out only when the batch carries real work: a 3-core dense
        candidate evaluation is under a microsecond, and waking the pool
        for ~10k such evaluations costs more than running them inline.
@@ -102,7 +103,7 @@ let solve ?eval ?(base_period = 0.1) ?(m_cap = 512) ?t_unit ?(fill = false)
        branch, whose ROM scores are cheaper still. *)
     let work = m_max * n * Thermal.Model.n_nodes p.model in
     let par = par && work >= 32768 in
-    match Option.bind eval Eval.screening with
+    match Eval.screening ev with
     | Some margin ->
         (* Two-tier sweep on a screening (sparse) context: every m is
            ROM-scored, only those within [margin] of the ROM minimum pay
@@ -111,14 +112,14 @@ let solve ?eval ?(base_period = 0.1) ?(m_cap = 512) ?t_unit ?(fill = false)
            untouched. *)
         let rom_m i =
           let period, high_ratio = ratios_for i in
-          Tpt.rom_peak_aligned p ?eval ~period ~low:v_low ~high:v_high
-            ~high_ratio ()
+          Eval.rom_two_mode_peak ev ~period ~low:v_low ~high:v_high
+            ~high_ratio
         in
-        Screen.select ?pool ~par ~always:[] ~margin ~n:m_max ~rom:rom_m
+        Screen.select ~pool ~par ~always:[] ~margin ~n:m_max ~rom:rom_m
           ~exact:eval_m ()
     | None ->
         if par then
-          Util.Pool.init ?pool ~chunk:(Util.Pool.chunk_hint ?pool m_max) m_max
+          Util.Pool.init ~pool ~chunk:(Util.Pool.chunk_hint ~pool m_max) m_max
             eval_m
         else Array.init m_max eval_m
   in
@@ -138,24 +139,24 @@ let solve ?eval ?(base_period = 0.1) ?(m_cap = 512) ?t_unit ?(fill = false)
   let config, steps =
     match adjust with
     | `Greedy ->
-        Tpt.adjust_to_constraint p ?eval ?t_unit ~par ~delta_margin config0
-    | `Bisection -> Tpt.adjust_by_bisection p ?eval config0
+        Tpt.adjust_to_constraint ev ?t_unit ~par ~delta_margin config0
+    | `Bisection -> Tpt.adjust_by_bisection ev config0
   in
   (* Theorem 1 is only approximate under strong coupling: re-verify with
      a full scan and, if the cheap search undershot, keep adjusting
      against the scanned peak (a no-op when already feasible).  The
      scan runs on the context's exact engine — the modal engine on a
-     dense context (bit-identical to an eval-less scan), the Krylov one
-     on a sparse context, which therefore never pays the eigensolve.
+     dense context, the Krylov one on a sparse context, which therefore
+     never pays the eigensolve.
      [dense:true] disables the delta tier anyway (its evaluators only
      price the aligned fused path). *)
   let config, safety_steps =
-    if Tpt.peak p ?eval ~dense:true config > p.t_max +. 1e-9 then
-      Tpt.adjust_to_constraint p ?eval ?t_unit ~dense:true ~par config
+    if Tpt.peak ev ~dense:true config > p.t_max +. 1e-9 then
+      Tpt.adjust_to_constraint ev ?t_unit ~dense:true ~par config
     else (config, 0)
   in
   let config, fill_steps =
-    if fill then Tpt.fill_headroom p ?eval ?t_unit ~par ~delta_margin config
+    if fill then Tpt.fill_headroom ev ?t_unit ~par ~delta_margin config
     else (config, 0)
   in
   let steps = steps + safety_steps in
@@ -167,7 +168,7 @@ let solve ?eval ?(base_period = 0.1) ?(m_cap = 512) ?t_unit ?(fill = false)
     m = !best_m;
     m_max;
     throughput = Tpt.throughput p config;
-    peak = Tpt.peak p ?eval config;
+    peak = Tpt.peak ev config;
     ideal;
     adjustment_steps = steps + fill_steps;
   }
@@ -184,8 +185,7 @@ let policy =
         Solver.timed_outcome ev (fun () ->
             let p = Eval.platform ev in
             let r =
-              solve ~eval:ev ~par:prm.Solver.par
-                ~delta_margin:prm.Solver.delta_margin p
+              solve ~par:prm.Solver.par ~delta_margin:prm.Solver.delta_margin ev
             in
             {
               Solver.voltages = Solver.delivered_speeds p r.schedule;

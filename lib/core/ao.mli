@@ -23,7 +23,11 @@ type result = {
   adjustment_steps : int;  (** TPT exchanges performed. *)
 }
 
-(** [solve ?base_period ?m_cap ?t_unit ?fill platform] runs AO.
+(** [solve ?base_period ?m_cap ?t_unit ?fill ev] runs AO on [ev]'s
+    platform, pricing every candidate through the context: step-up peak
+    evaluations are memoized in its schedule-keyed table ({!Tpt.peak}) —
+    bit-identical results, large savings when searches revisit
+    candidates or PCO re-runs AO on the same context.
 
     - [base_period] is the m = 1 oscillation period (default 0.1 s —
       comparable to the platform's dominant thermal time constant, so the
@@ -39,14 +43,9 @@ type result = {
       scaling, fewer peak evaluations, possibly slightly lower
       throughput — see the ablations);
     - [par] (default [true]) evaluates the m sweep and the TPT candidate
-      scans on the shared {!Util.Pool}; reductions stay sequential, so
-      the result is identical at any pool size;
-    - [eval] memoizes every cheap step-up peak evaluation in the shared
-      context's schedule-keyed table ({!Tpt.peak}) — bit-identical
-      results, large savings when searches revisit candidates or PCO
-      re-runs AO on the same context. *)
+      scans on the context's {!Util.Pool}; reductions stay sequential,
+      so the result is identical at any pool size. *)
 val solve :
-  ?eval:Eval.t ->
   ?base_period:float ->
   ?m_cap:int ->
   ?t_unit:float ->
@@ -54,7 +53,7 @@ val solve :
   ?adjust:[ `Greedy | `Bisection ] ->
   ?par:bool ->
   ?delta_margin:float ->
-  Platform.t ->
+  Eval.t ->
   result
 
 type Solver.details += Details of result

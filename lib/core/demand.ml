@@ -8,8 +8,8 @@ type result = {
   delivered : float array;
 }
 
-let solve ?eval ?(base_period = 0.1) ?(m_cap = 512) ?(par = true) (p : Platform.t)
-    ~demands =
+let solve ?(base_period = 0.1) ?(m_cap = 512) ?(par = true) ev ~demands =
+  let p = Eval.platform ev in
   let n = Platform.n_cores p in
   if Array.length demands <> n then
     invalid_arg "Demand.solve: demands arity differs from core count";
@@ -61,20 +61,20 @@ let solve ?eval ?(base_period = 0.1) ?(m_cap = 512) ?(par = true) (p : Platform.
      near-minimum survivors — and pruned slots come back +inf, which
      the reduction below never selects. *)
   let peaks =
-    let eval_m i = Tpt.peak p ?eval (config_for (i + 1)) in
-    let pool = Option.map Eval.pool eval in
+    let eval_m i = Tpt.peak ev (config_for (i + 1)) in
+    let pool = Eval.pool ev in
     (* Same work-size gate as the AO m-sweep: small batches stay inline
        on both the screened and the exhaustive branch. *)
     let work = m_max * n * Thermal.Model.n_nodes p.model in
     let par = par && work >= 32768 in
-    match Option.bind eval Eval.screening with
+    match Eval.screening ev with
     | Some margin ->
-        let rom_m i = Tpt.rom_peak p ?eval (config_for (i + 1)) in
-        Screen.select ?pool ~par ~always:[] ~margin ~n:m_max ~rom:rom_m
+        let rom_m i = Tpt.rom_peak ev (config_for (i + 1)) in
+        Screen.select ~pool ~par ~always:[] ~margin ~n:m_max ~rom:rom_m
           ~exact:eval_m ()
     | None ->
         if par then
-          Util.Pool.init ?pool ~chunk:(Util.Pool.chunk_hint ?pool m_max) m_max
+          Util.Pool.init ~pool ~chunk:(Util.Pool.chunk_hint ~pool m_max) m_max
             eval_m
         else Array.init m_max eval_m
   in
@@ -89,7 +89,7 @@ let solve ?eval ?(base_period = 0.1) ?(m_cap = 512) ?(par = true) (p : Platform.
   let schedule = Tpt.schedule_of_config config in
   (* Final verification by a full scan on the context's exact engine
      (modal on dense, Krylov on sparse — no eigensolve there). *)
-  let peak = Tpt.peak p ?eval ~dense:true config in
+  let peak = Tpt.peak ev ~dense:true config in
   {
     feasible = peak <= p.t_max +. 1e-9;
     schedule;
@@ -119,7 +119,7 @@ let policy =
               | Some d -> d
               | None -> (Ideal.solve p).Ideal.voltages
             in
-            let r = solve ~eval:ev ~par:prm.Solver.par p ~demands in
+            let r = solve ~par:prm.Solver.par ev ~demands in
             {
               Solver.voltages = Array.copy r.delivered;
               schedule = Some r.schedule;

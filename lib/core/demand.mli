@@ -23,21 +23,21 @@ type result = {
   delivered : float array;  (** Net per-core speeds of [schedule]. *)
 }
 
-(** [solve ?base_period ?m_cap platform ~demands] seeks a schedule
-    delivering at least [demands.(i)] net speed on every core [i].
+(** [solve ?base_period ?m_cap ev ~demands] seeks a schedule on [ev]'s
+    platform delivering at least [demands.(i)] net speed on every core
+    [i].
     Demands must lie in [[0, v_max]]; raises [Invalid_argument]
     otherwise (a demand below [v_min] is served at [v_min]-or-oscillated
     speed — over-provisioning is allowed, under-provisioning is not).
-    [par] (default [true]) fans the m sweep across the shared
+    [par] (default [true]) fans the m sweep across the context's
     {!Util.Pool}; the reduction is sequential, so the chosen [m] and
-    schedule are identical at any pool size.  [eval] memoizes the
-    sweep's step-up peak evaluations in the shared context. *)
+    schedule are identical at any pool size.  The context memoizes the
+    sweep's step-up peak evaluations. *)
 val solve :
-  ?eval:Eval.t ->
   ?base_period:float ->
   ?m_cap:int ->
   ?par:bool ->
-  Platform.t ->
+  Eval.t ->
   demands:float array ->
   result
 

@@ -20,10 +20,9 @@ type t = {
      the build under a mutex and is one atomic read thereafter. *)
   backend : Thermal.Backend.t Util.Once.t;
       (* The one engine every exact and delta evaluator runs on, chosen
-         by [kind].  [Dense] wraps the model's memoized modal engine, so
-         it superposes over the same unit-response tables every
-         eval-less [Thermal.Backend.of_model] call resolves; [Sparse]
-         wraps [response] and never forces the O(n³) eigensolve. *)
+         by [kind].  [Dense] wraps the model's memoized modal engine;
+         [Sparse] wraps [response] and never forces the O(n³)
+         eigensolve. *)
   sparse : Thermal.Sparse_model.t Util.Once.t;
       (* The Krylov engine of the model's spec, assembled on the
          context's pool — shared by the response engine and the

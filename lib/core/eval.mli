@@ -81,11 +81,10 @@ val backend : t -> Thermal.Backend.t
 
 (** [engine t] is the platform's {!Thermal.Modal} response engine
     ({!Thermal.Modal.make}, memoized per model, so it is built on the
-    first call).  It is the engine a [Dense] context's record and any
-    eval-less [Thermal.Backend.of_model] call wrap — every path
-    superposes over identical unit-response tables, keeping cached and
-    uncached results bit-compatible.  Calling it on a [Sparse] context
-    pays the dense eigensolve. *)
+    first call).  It is the engine a [Dense] context's record wraps —
+    cached and uncached evaluations superpose over identical
+    unit-response tables, keeping their results bit-compatible.
+    Calling it on a [Sparse] context pays the dense eigensolve. *)
 val engine : t -> Thermal.Modal.t
 
 (** [steady_peak t voltages] is the memoized

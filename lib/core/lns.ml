@@ -1,14 +1,10 @@
 type result = { voltages : float array; throughput : float; peak : float }
 
-let solve ?eval (p : Platform.t) =
+let solve ev =
+  let p = Eval.platform ev in
   let ideal = Ideal.solve p in
   let voltages = Array.map (Power.Vf.round_down p.levels) ideal.Ideal.voltages in
-  let peak =
-    match eval with
-    | Some ev when Eval.platform ev == p -> Eval.steady_peak ev voltages
-    | Some _ | None ->
-        Sched.Peak.steady_constant (Thermal.Backend.of_model p.model) p.power voltages
-  in
+  let peak = Eval.steady_peak ev voltages in
   let throughput =
     Array.fold_left ( +. ) 0. voltages /. float_of_int (Array.length voltages)
   in
@@ -24,7 +20,7 @@ let policy =
     solve =
       (fun ev (_ : Solver.params) ->
         Solver.timed_outcome ev (fun () ->
-            let r = solve ~eval:ev (Eval.platform ev) in
+            let r = solve ev in
             {
               Solver.voltages = Array.copy r.voltages;
               schedule = None;

@@ -13,11 +13,11 @@ type result = {
   peak : float;  (** Steady-state peak temperature, degrees C. *)
 }
 
-(** [solve ?eval platform] runs LNS.  The returned [peak] is always at
-    most the steady peak of the ideal assignment (hence at most [t_max]
-    when the platform is feasible).  [eval] memoizes the steady-peak
-    evaluation in the shared context's voltage-keyed table. *)
-val solve : ?eval:Eval.t -> Platform.t -> result
+(** [solve ev] runs LNS on [ev]'s platform.  The returned [peak] is
+    always at most the steady peak of the ideal assignment (hence at
+    most [t_max] when the platform is feasible); it is memoized in the
+    context's voltage-keyed table. *)
+val solve : Eval.t -> result
 
 type Solver.details += Details of result
 

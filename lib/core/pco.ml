@@ -8,31 +8,19 @@ type result = {
   fill_steps : int;
 }
 
-let scan_peak ?eval (p : Platform.t) c =
-  match eval with
-  | Some ev when Eval.platform ev == p ->
-      Eval.any_peak ev ~samples_per_segment:16 (Tpt.schedule_of_config c)
-  | Some _ | None ->
-      Sched.Peak.of_any (Thermal.Backend.of_model p.model) p.power
-        ~samples_per_segment:16 (Tpt.schedule_of_config c)
-
-let rom_scan_peak ?eval (p : Platform.t) c =
-  match eval with
-  | Some ev when Eval.platform ev == p ->
-      Eval.rom_any_peak ev ~samples_per_segment:16 (Tpt.schedule_of_config c)
-  | Some _ | None ->
-      Sched.Peak.of_any (Thermal.Backend.of_model p.model) p.power
-        ~samples_per_segment:16 (Tpt.schedule_of_config c)
-
-let solve ?eval ?base_period ?m_cap ?t_unit ?(offsets_per_core = 8) ?(rounds = 1)
-    ?(par = true) ?(delta_margin = 0.) (p : Platform.t) =
+let solve ?base_period ?m_cap ?t_unit ?(offsets_per_core = 8) ?(rounds = 1)
+    ?(par = true) ?(delta_margin = 0.) ev =
+  let p = Eval.platform ev in
   if offsets_per_core < 1 then invalid_arg "Pco.solve: offsets_per_core < 1";
   if rounds < 1 then invalid_arg "Pco.solve: rounds < 1";
-  let ao = Ao.solve ?eval ?base_period ?m_cap ?t_unit ~par ~delta_margin p in
-  (* [eval] is shadowed by the per-candidate closure inside the grid
-     loop; keep the context reachable under another name. *)
-  let eval_ctx = eval in
-  let scan c = scan_peak ?eval p c in
+  let ao = Ao.solve ?base_period ?m_cap ?t_unit ~par ~delta_margin ev in
+  (* Shifted configs take the dense scan on the context's engine; the
+     screening tier scores the same schedule on the reduced model. *)
+  let scan c = Tpt.peak ev ~dense:true c in
+  let rom_scan c =
+    Eval.rom_any_peak ev ~samples_per_segment:16 (Tpt.schedule_of_config c)
+  in
+  let pool = Eval.pool ev in
   let n = Platform.n_cores p in
   let config = ref ao.Ao.config in
   (* Greedy per-core phase search: core 0 stays put (only relative phase
@@ -52,22 +40,19 @@ let solve ?eval ?base_period ?m_cap ?t_unit ?(offsets_per_core = 8) ?(rounds = 1
       candidate_offsets.(i) <- offset_for k;
       { base with Tpt.offset = candidate_offsets }
     in
-    let eval k = if k = 0 then scan base else scan (candidate k) in
+    let config_k k = if k = 0 then base else candidate k in
+    let exact k = scan (config_k k) in
     let peaks =
-      let pool = Option.map Eval.pool eval_ctx in
-      match Option.bind eval_ctx Eval.screening with
+      match Eval.screening ev with
       | Some margin ->
           (* Slot 0 is the incumbent: the selection below reads its
              exact peak unconditionally, so it must always survive. *)
-          let rom k =
-            if k = 0 then rom_scan_peak ?eval:eval_ctx p base
-            else rom_scan_peak ?eval:eval_ctx p (candidate k)
-          in
-          Screen.select ?pool ~par ~always:[ 0 ] ~margin ~n:offsets_per_core
-            ~rom ~exact:eval ()
+          Screen.select ~pool ~par ~always:[ 0 ] ~margin ~n:offsets_per_core
+            ~rom:(fun k -> rom_scan (config_k k))
+            ~exact ()
       | None ->
-          if par then Util.Pool.init ?pool offsets_per_core eval
-          else Array.init offsets_per_core eval
+          if par then Util.Pool.init ~pool offsets_per_core exact
+          else Array.init offsets_per_core exact
     in
     let best_offset = ref base.Tpt.offset.(i) in
     let best_peak = ref peaks.(0) in
@@ -87,7 +72,7 @@ let solve ?eval ?base_period ?m_cap ?t_unit ?(offsets_per_core = 8) ?(rounds = 1
   (* The delta tier only prices aligned configs, so it self-disables
      here whenever the phase search actually staggered a core. *)
   let filled, fill_steps =
-    Tpt.fill_headroom p ?eval ?t_unit ~par ~delta_margin !config
+    Tpt.fill_headroom ev ?t_unit ~par ~delta_margin !config
   in
   let schedule = Tpt.schedule_of_config filled in
   {
@@ -112,8 +97,7 @@ let policy =
         Solver.timed_outcome ev (fun () ->
             let p = Eval.platform ev in
             let r =
-              solve ~eval:ev ~par:prm.Solver.par
-                ~delta_margin:prm.Solver.delta_margin p
+              solve ~par:prm.Solver.par ~delta_margin:prm.Solver.delta_margin ev
             in
             {
               Solver.voltages = Solver.delivered_speeds p r.schedule;

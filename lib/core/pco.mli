@@ -22,20 +22,19 @@ type result = {
   fill_steps : int;  (** Headroom exchanges performed after shifting. *)
 }
 
-(** [solve ?base_period ?m_cap ?t_unit ?offsets_per_core ?rounds
-    platform] runs AO, then [rounds] (default 1) passes of the greedy
+(** [solve ?base_period ?m_cap ?t_unit ?offsets_per_core ?rounds ev]
+    runs AO on [ev]'s platform, then [rounds] (default 1) passes of the greedy
     per-core phase search with [offsets_per_core] candidate shifts per
     core (default 8), then the headroom fill.  Additional rounds let
     early cores re-phase against the offsets later cores chose.  [par]
     (default [true]) evaluates each core's phase grid — and the
-    underlying AO run and headroom fill — on the shared {!Util.Pool};
+    underlying AO run and headroom fill — on the context's {!Util.Pool};
     selections stay sequential, so results match the sequential path.
-    [eval] memoizes the step-up evaluations of the inner AO run and the
-    headroom fill; on a context that already ran AO, the whole seed
+    The context memoizes the step-up evaluations of the inner AO run and
+    the headroom fill; on a context that already ran AO, the whole seed
     search replays from cache (the phase-grid dense scans are not
     memoized). *)
 val solve :
-  ?eval:Eval.t ->
   ?base_period:float ->
   ?m_cap:int ->
   ?t_unit:float ->
@@ -43,7 +42,7 @@ val solve :
   ?rounds:int ->
   ?par:bool ->
   ?delta_margin:float ->
-  Platform.t ->
+  Eval.t ->
   result
 
 type Solver.details += Details of result

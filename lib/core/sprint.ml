@@ -6,7 +6,8 @@ type plan = {
   sprint_gain : float;
 }
 
-let plan ?eval ?(margin = 0.5) (p : Platform.t) =
+let plan ?(margin = 0.5) ev =
+  let p = Eval.platform ev in
   if margin < 0. then invalid_arg "Sprint.plan: negative margin";
   let n = Platform.n_cores p in
   let v_top = Power.Vf.highest p.levels in
@@ -21,7 +22,7 @@ let plan ?eval ?(margin = 0.5) (p : Platform.t) =
     | Some t -> t
     | None -> infinity
   in
-  let steady = Ao.solve ?eval p in
+  let steady = Ao.solve ev in
   let burst_work, sprint_gain =
     if Float.is_finite burst_duration then
       let work = v_top *. burst_duration in
@@ -41,7 +42,7 @@ let policy =
       (fun ev (_ : Solver.params) ->
         Solver.timed_outcome ev (fun () ->
             let p = Eval.platform ev in
-            let r = plan ~eval:ev p in
+            let r = plan ev in
             (* The sustained solution is the steady AO schedule; the burst
                is a transient prefix the details record. *)
             {

@@ -28,11 +28,11 @@ type plan = {
           burst window — what sprinting buys; 0 for infinite bursts. *)
 }
 
-(** [plan ?eval ?margin platform] computes the sprint plan.  [margin]
-    (default 0.5 C) backs the burst threshold off [t_max] to absorb the
-    handover transient.  [eval] memoizes the inner AO run's step-up
-    evaluations. *)
-val plan : ?eval:Eval.t -> ?margin:float -> Platform.t -> plan
+(** [plan ?margin ev] computes the sprint plan on [ev]'s platform.
+    [margin] (default 0.5 C) backs the burst threshold off [t_max] to
+    absorb the handover transient.  The inner AO run prices its
+    candidates through the context. *)
+val plan : ?margin:float -> Eval.t -> plan
 
 type Solver.details += Details of plan
 

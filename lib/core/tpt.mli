@@ -28,70 +28,43 @@ val validate : config -> unit
     then high (step-up order), then is rotated by its offset. *)
 val schedule_of_config : config -> Sched.Schedule.t
 
-(** [peak platform ?eval ?dense c] evaluates the stable-status peak
-    temperature: end-of-period when every offset is 0 (step-up,
-    Theorem 1) and [dense] is [false], a dense scan otherwise.  The
-    dense evaluator exists because Theorem 1 is only approximate under
-    strong inter-core coupling (see EXPERIMENTS.md): AO runs its search
-    with the cheap evaluator and re-verifies the final answer densely.
-    When [eval] wraps this same platform, the cheap step-up branch is
+(** [peak ev ?dense c] evaluates the stable-status peak temperature on
+    [ev]'s platform: end-of-period when every offset is 0 (step-up,
+    Theorem 1) and [dense] is [false], a dense scan on the context's
+    engine otherwise.  The dense evaluator exists because Theorem 1 is
+    only approximate under strong inter-core coupling (see
+    EXPERIMENTS.md): AO runs its search with the cheap evaluator and
+    re-verifies the final answer densely.  The cheap step-up branch is
     memoized through the context's schedule-keyed table — bit-identical
     values, shared across every search probing the same candidates. *)
-val peak : Platform.t -> ?eval:Eval.t -> ?dense:bool -> config -> float
+val peak : Eval.t -> ?dense:bool -> config -> float
 
-(** [peak_aligned p ?eval ~period ~low ~high ~high_ratio ()] is the
-    fused aligned two-mode evaluator {!peak} dispatches to, without the
-    config round-trip — for sweeps that derive the span shape directly.
-    [high_ratio] must already be clamped to [0, 1] the way {!peak}
-    clamps [high_time /. period], so the memoization digest (and the
-    returned float) is bit-identical to the config path. *)
-val peak_aligned :
-  Platform.t ->
-  ?eval:Eval.t ->
-  period:float ->
-  low:float array ->
-  high:float array ->
-  high_ratio:float array ->
-  unit ->
-  float
+(** [rom_peak ev c] is the screening-tier score of a config: the
+    reduced-model peak when [ev] is a sparse context
+    ({!Eval.rom_two_mode_peak} for aligned configs, {!Eval.rom_any_peak}
+    for shifted ones), the exact evaluation otherwise.  Approximate —
+    m-sweeps use it only to pick survivors for exact re-verification
+    ({!Screen.select}). *)
+val rom_peak : Eval.t -> config -> float
 
-(** [rom_peak_aligned p ?eval ~period ~low ~high ~high_ratio ()] is the
-    screening-tier score of the same fused candidate: the reduced-model
-    peak when [eval] is a sparse context ({!Eval.rom_two_mode_peak}),
-    the exact evaluation otherwise.  Approximate — m-sweeps use it only
-    to pick survivors for exact re-verification ({!Screen.select}). *)
-val rom_peak_aligned :
-  Platform.t ->
-  ?eval:Eval.t ->
-  period:float ->
-  low:float array ->
-  high:float array ->
-  high_ratio:float array ->
-  unit ->
-  float
-
-(** [rom_peak p ?eval c] is the screening-tier score of a config:
-    {!rom_peak_aligned} for aligned configs, the reduced-model scan
-    ({!Eval.rom_any_peak}) for shifted ones. *)
-val rom_peak : Platform.t -> ?eval:Eval.t -> config -> float
-
-(** [adjust_to_constraint platform ?t_unit c] is the Algorithm 2 loop:
-    returns the adjusted config and the number of [t_unit] exchanges.
-    [t_unit] defaults to [c.period / 100].  Gives up (returning the
-    all-low config) if every core reaches zero high time while still
-    violating — callers should have checked {!Platform.feasible}.
+(** [adjust_to_constraint ev ?t_unit c] is the Algorithm 2 loop on
+    [ev]'s platform: returns the adjusted config and the number of
+    [t_unit] exchanges.  [t_unit] defaults to [c.period / 100].  Gives
+    up (returning the all-low config) if every core reaches zero high
+    time while still violating — callers should have checked
+    {!Platform.feasible}.
     [par] (default [true]) fans each step's per-core candidate
     evaluations across the context's {!Util.Pool} when the batch
     carries enough floating-point volume (cores * nodes, the same gate
     AO's m sweep uses); the selection reduction stays sequential, so
-    the result is identical at any pool size.  [eval] memoizes the
-    step-up peak evaluations as in {!peak}.
+    the result is identical at any pool size.  Step-up peak evaluations
+    are memoized as in {!peak}.
 
     [delta_margin] (kelvin, default [0.] — off) opts the per-core scan
     into the prepared-base delta tier (DESIGN.md §14) when [c] is
-    aligned, [dense] is [false] and [eval] wraps this platform: each
-    step prepares the current config's drive once on the context's
-    engine and prices candidates as single-core deltas, keeping stale
+    aligned and [dense] is [false]: each step prepares the current
+    config's drive once on the context's engine and prices candidates
+    as single-core deltas, keeping stale
     scores across accepted steps for candidates more than
     [delta_margin] above the best stale score.  The chosen winner is
     always re-verified with a full exact evaluation before acceptance,
@@ -102,8 +75,7 @@ val rom_peak : Platform.t -> ?eval:Eval.t -> config -> float
     bit-identical to the exact scan.  Raises [Invalid_argument] on a
     negative margin. *)
 val adjust_to_constraint :
-  Platform.t ->
-  ?eval:Eval.t ->
+  Eval.t ->
   ?t_unit:float ->
   ?dense:bool ->
   ?par:bool ->
@@ -111,7 +83,7 @@ val adjust_to_constraint :
   config ->
   config * int
 
-(** [adjust_by_bisection platform ?tol c] is the fast alternative to the
+(** [adjust_by_bisection ev ?tol c] is the fast alternative to the
     greedy loop: scale every core's high time by a common factor
     [s in [0, 1]] and bisect on the largest feasible [s].  The peak is
     monotone in [s] (more high time = more heat everywhere), so
@@ -119,21 +91,18 @@ val adjust_to_constraint :
     *between* cores, so it can concede slightly more throughput — the
     ablation quantifies the trade.  Returns the adjusted config and the
     number of peak evaluations. *)
-val adjust_by_bisection :
-  Platform.t -> ?eval:Eval.t -> ?tol:float -> config -> config * int
+val adjust_by_bisection : Eval.t -> ?tol:float -> config -> config * int
 
-(** [fill_headroom platform ?t_unit c] converts low time back to high
-    time while the peak stays below [t_max], greedily choosing the core
-    with the best throughput-gain-per-degree index; stops when no single
-    exchange fits.  Returns the new config and exchange count.  [par],
-    [eval] and [delta_margin] are as in {!adjust_to_constraint} — on
-    the delta tier candidates are priced as single-core deltas and the
-    arg-best is re-picked until it is backed by an exact evaluation, so
-    feasibility (and the threaded base peak) only ever read exact
-    values. *)
+(** [fill_headroom ev ?t_unit c] converts low time back to high time
+    while the peak stays below [t_max], greedily choosing the core with
+    the best throughput-gain-per-degree index; stops when no single
+    exchange fits.  Returns the new config and exchange count.  [par]
+    and [delta_margin] are as in {!adjust_to_constraint} — on the delta
+    tier candidates are priced as single-core deltas and the arg-best is
+    re-picked until it is backed by an exact evaluation, so feasibility
+    (and the threaded base peak) only ever read exact values. *)
 val fill_headroom :
-  Platform.t ->
-  ?eval:Eval.t ->
+  Eval.t ->
   ?t_unit:float ->
   ?par:bool ->
   ?delta_margin:float ->

@@ -6,7 +6,8 @@ type result = {
   peak : float;
 }
 
-let solve ?eval (p : Platform.t) =
+let solve ev =
+  let p = Eval.platform ev in
   let n = Platform.n_cores p in
   (* Steady core temperatures are affine in the uniform power:
      T(p) = offset + slope * p, with slope from a unit uniform load. *)
@@ -29,11 +30,7 @@ let solve ?eval (p : Platform.t) =
     continuous_voltage;
     voltages;
     throughput = v;
-    peak =
-      (match eval with
-      | Some ev when Eval.platform ev == p -> Eval.steady_peak ev voltages
-      | Some _ | None ->
-          Sched.Peak.steady_constant (Thermal.Backend.of_model p.model) p.power voltages);
+    peak = Eval.steady_peak ev voltages;
   }
 
 type Solver.details += Details of result
@@ -46,7 +43,7 @@ let policy =
     solve =
       (fun ev (_ : Solver.params) ->
         Solver.timed_outcome ev (fun () ->
-            let r = solve ~eval:ev (Eval.platform ev) in
+            let r = solve ev in
             {
               Solver.voltages = Array.copy r.voltages;
               schedule = None;

@@ -23,11 +23,12 @@ type result = {
   peak : float;  (** Steady peak of the discretized assignment. *)
 }
 
-(** [solve ?eval platform] computes the thermal-safe power budget and
-    its discretized schedule.  Raises [Invalid_argument] if even zero
-    power overshoots (impossible for [t_max] above ambient).  [eval]
-    memoizes the final steady-peak evaluation. *)
-val solve : ?eval:Eval.t -> Platform.t -> result
+(** [solve ev] computes the thermal-safe power budget of [ev]'s
+    platform and its discretized schedule.  Raises [Invalid_argument]
+    if even zero power overshoots (impossible for [t_max] above
+    ambient).  The final steady-peak evaluation is memoized in the
+    context. *)
+val solve : Eval.t -> result
 
 type Solver.details += Details of result
 

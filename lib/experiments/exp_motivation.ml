@@ -19,7 +19,7 @@ let run () =
      sharing the memo tables replays them instead of re-solving. *)
   let eval = Core.Eval.create p in
   let ideal = Core.Ideal.solve p in
-  let lns = Core.Lns.solve p in
+  let lns = Core.Lns.solve eval in
   let exs = Core.Exs.solve p in
   let n = Core.Platform.n_cores p in
   let ratios =
@@ -35,13 +35,13 @@ let run () =
     }
   in
   let naive = config 0.02 (Array.map (fun r -> r *. 0.02) ratios) in
-  let naive_peak = Core.Tpt.peak p ~eval naive in
+  let naive_peak = Core.Tpt.peak eval naive in
   let table3 =
     List.map
       (fun period ->
         let c0 = config period (Array.map (fun r -> r *. period) ratios) in
         let adjusted, _ =
-          Core.Tpt.adjust_to_constraint p ~eval ~t_unit:(period /. 200.) c0
+          Core.Tpt.adjust_to_constraint eval ~t_unit:(period /. 200.) c0
         in
         let ratios' =
           Array.map (fun h -> h /. period) adjusted.Core.Tpt.high_time

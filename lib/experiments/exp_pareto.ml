@@ -15,7 +15,9 @@ let run ?(cores = 3) () =
     Util.Pool.map
       (fun t_max ->
         let p = Workload.Configs.platform ~cores ~levels:5 ~t_max in
-        let ao = Core.Ao.solve p in
+        (* One search per platform revisits almost no candidate, so the
+           memo tables stay off: stored entries would only grow the heap. *)
+        let ao = Core.Ao.solve (Core.Eval.create ~cache_size:0 p) in
         let breakdown =
           Sched.Energy.per_period p.Core.Platform.model p.Core.Platform.power
             ao.Core.Ao.schedule

@@ -121,7 +121,7 @@ let tsp ?(guard = 0.5) () =
     init =
       (fun env ->
         let p = env.C.platform in
-        let budget = (Core.Tsp.solve ~eval:env.C.eval p).Core.Tsp.power_budget in
+        let budget = (Core.Tsp.solve env.C.eval).Core.Tsp.power_budget in
         let pm = p.P.power in
         let levels = env.C.levels in
         let top = Array.length levels - 1 in
@@ -186,8 +186,7 @@ let offline ?name (policy : Core.Solver.t) =
    AO arms solve on a base period of 40 epochs with the m sweep capped
    at 8 — every mini-period spans at least 5 epochs. *)
 let epoch_aligned_ao env =
-  Core.Ao.solve ~eval:env.C.eval ~base_period:(40. *. env.C.dt) ~m_cap:8
-    env.C.platform
+  Core.Ao.solve ~base_period:(40. *. env.C.dt) ~m_cap:8 env.C.eval
 
 let offline_ao () =
   {

@@ -8,7 +8,10 @@ let core_demands = Partition.utilizations
 
 let check platform assignment =
   let demands = core_demands assignment in
-  let result = Core.Demand.solve platform ~demands in
+  (* Memo tables off: every demand vector yields new schedules, so
+     stored entries would never be read back and would only grow the
+     heap over a capacity search's probes. *)
+  let result = Core.Demand.solve (Core.Eval.create ~cache_size:0 platform) ~demands in
   let covered =
     Array.for_all2
       (fun delivered demand -> delivered +. 1e-6 >= demand)

@@ -154,8 +154,12 @@ let golden = (sqrt 5. -. 1.) /. 2.
 
 (* Maximize f over [a, b] by golden-section search (f unimodal on the
    bracket around a sampled maximum; if it is not, the result is still a
-   lower bound no worse than the sampled one). *)
+   lower bound no worse than the sampled one).  The loop stops once the
+   bracket is narrower than [tol], which a non-positive or NaN [tol]
+   never allows. *)
 let golden_max f a b tol =
+  if not (tol > 0. && Float.is_finite tol) then
+    invalid_arg "Matex.golden_max: tolerance must be positive and finite";
   let rec go a b x1 x2 f1 f2 =
     if b -. a < tol then Float.max f1 f2
     else if f1 >= f2 then

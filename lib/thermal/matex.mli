@@ -63,7 +63,8 @@ val peak_at_boundaries : Model.t -> profile -> float
     period densely ([samples_per_segment] exact sub-steps inside every
     segment, default 32) and returns the hottest absolute core
     temperature found.  This is the safe evaluator for profiles that are
-    not step-up, where the peak may fall strictly inside a segment. *)
+    not step-up, where the peak may fall strictly inside a segment.
+    Raises [Invalid_argument] when [samples_per_segment < 1]. *)
 val peak_scan : ?engine:Modal.t -> Model.t -> ?samples_per_segment:int -> profile -> float
 
 (** [end_of_period_peak model profile] is the hottest absolute core
@@ -85,9 +86,18 @@ val stable_core_trace :
     segment's best sample, to time resolution [tol * duration] (default
     [tol = 1e-4]).  Guaranteed [>= peak_scan] up to the same sampling;
     used where an exact interior peak matters (PCO verification,
-    theorem-tolerance measurements). *)
+    theorem-tolerance measurements).  Raises [Invalid_argument] when
+    [samples_per_segment < 1] or [tol] is not positive and finite. *)
 val peak_refined :
   ?engine:Modal.t -> Model.t -> ?samples_per_segment:int -> ?tol:float -> profile -> float
+
+(** [golden_max f a b tol] maximizes [f] over [[a, b]] by golden-section
+    search down to a bracket narrower than [tol] — the refinement every
+    engine's [peak_refined] runs, so all of them probe the same
+    abscissae.  If [f] is not unimodal on the bracket the result is
+    still a lower bound on its maximum.  Raises [Invalid_argument] when
+    [tol] is not positive and finite (the search would never stop). *)
+val golden_max : (float -> float) -> float -> float -> float -> float
 
 (** [time_to_threshold model ?theta0 ?max_periods ?samples_per_segment
     ~threshold profile] repeats [profile] from state [theta0] (default:

@@ -1,5 +1,5 @@
 (** Modal (eigenbasis) thermal evaluation engine — the hot path behind
-    {!Matex}, {!Sched.Peak} and {!Runtime.Governor}.
+    {!Matex}, {!Sched.Peak} and the [Runtime.Loop] plant simulation.
 
     {!Model.t} diagonalizes [A = W diag(lambda) W^{-1}] with real
     negative [lambda] on first modal use ({!make} is that use, paid once

@@ -207,6 +207,7 @@ let end_of_period_peak t profile = max_core_temp t (stable_start t profile)
    boundary states do not accumulate sub-step rounding) — the same walk
    as Matex.scan_segment_z. *)
 let scan_segment t ~samples ~y_inf ~duration y0 visit =
+  if samples < 1 then invalid_arg "Sparse_model: non-positive sample count";
   let dt = duration /. float_of_int samples in
   let yc = ref y0 in
   for k = 1 to samples do
@@ -227,28 +228,6 @@ let peak_scan t ?(samples_per_segment = 32) profile =
           (fun _ yc -> best := Float.max !best (max_core_temp t yc)))
     profile;
   !best
-
-let golden = (sqrt 5. -. 1.) /. 2.
-
-(* Golden-section maximization, duplicated verbatim from Matex so the
-   sparse refinement probes the same abscissae as the dense one. *)
-let golden_max f a b tol =
-  let rec go a b x1 x2 f1 f2 =
-    if b -. a < tol then Float.max f1 f2
-    else if f1 >= f2 then
-      let b = x2 in
-      let x2 = x1 and f2 = f1 in
-      let x1 = b -. (golden *. (b -. a)) in
-      go a b x1 x2 (f x1) f2
-    else
-      let a = x1 in
-      let x1 = x2 and f1 = f2 in
-      let x2 = a +. (golden *. (b -. a)) in
-      go a b x1 x2 f1 (f x2)
-  in
-  let x1 = b -. (golden *. (b -. a)) in
-  let x2 = a +. (golden *. (b -. a)) in
-  go a b x1 x2 (f x1) (f x2)
 
 let peak_refined t ?(samples_per_segment = 32) ?(tol = 1e-4) profile =
   validate t profile;
@@ -274,7 +253,7 @@ let peak_refined t ?(samples_per_segment = 32) ?(tol = 1e-4) profile =
       let hi = Float.min duration ((float_of_int !best_k +. 1.) *. dt) in
       if hi > lo then begin
         let temp_at tm = max_core_temp t (advance t ~dt:tm ~y_inf y0) in
-        best := Float.max !best (golden_max temp_at lo hi (tol *. duration))
+        best := Float.max !best (Matex.golden_max temp_at lo hi (tol *. duration))
       end)
     profile;
   !best

@@ -118,13 +118,14 @@ val end_of_period_peak : t -> Matex.profile -> float
 (** [peak_scan t ?samples_per_segment profile] densely scans the
     stable-status period ([samples_per_segment] sub-steps per segment,
     default 32, boundaries included) for the hottest core temperature —
-    sampling semantics identical to {!Matex.peak_scan}. *)
+    sampling semantics (and the [Invalid_argument] on
+    [samples_per_segment < 1]) identical to {!Matex.peak_scan}. *)
 val peak_scan : t -> ?samples_per_segment:int -> Matex.profile -> float
 
 (** [peak_refined t ?samples_per_segment ?tol profile] sharpens
     {!peak_scan} by golden-section maximization inside the bracketing
     sub-interval of each segment's best sample, to time resolution
     [tol * duration] (default [1e-4]) — the same refinement
-    {!Matex.peak_refined} performs. *)
+    ({!Matex.golden_max}) and input checks as {!Matex.peak_refined}. *)
 val peak_refined :
   t -> ?samples_per_segment:int -> ?tol:float -> Matex.profile -> float

@@ -159,7 +159,9 @@ val delta_core_temp :
     per-segment equilibria come from {!y_inf_into} instead of CG
     solves, and the stable fixed point is warm-started; everything else
     (validation, sampling semantics, golden-section refinement) matches
-    the direct engine exactly. *)
+    the direct engine exactly — including [Invalid_argument] on
+    [samples_per_segment < 1] and on a [tol] that is not positive and
+    finite, as {!Matex.peak_scan}/{!Matex.peak_refined} raise. *)
 
 val stable_start : t -> Matex.profile -> Linalg.Vec.t
 val stable_core_temps : t -> Matex.profile -> Linalg.Vec.t

@@ -193,7 +193,7 @@ let test_ideal_refine_no_worse () =
 
 let test_lns_rounds_down () =
   let p = platform3 () in
-  let r = Core.Lns.solve p in
+  let r = Core.Lns.solve (Core.Eval.create p) in
   (* Ideal ~1.2 with levels {0.6, 1.3}: all round down to 0.6. *)
   Array.iter (fun v -> check_close 1e-12 "rounded to 0.6" 0.6 v) r.Core.Lns.voltages;
   check_close 1e-12 "throughput 0.6" 0.6 r.Core.Lns.throughput
@@ -202,7 +202,7 @@ let test_lns_feasible () =
   List.iter
     (fun levels ->
       let p = Workload.Configs.platform ~cores:3 ~levels ~t_max:65. in
-      let r = Core.Lns.solve p in
+      let r = Core.Lns.solve (Core.Eval.create p) in
       Alcotest.(check bool)
         (Printf.sprintf "LNS under T_max with %d levels" levels)
         true
@@ -211,7 +211,7 @@ let test_lns_feasible () =
 
 let test_lns_improves_with_levels () =
   let thr levels =
-    (Core.Lns.solve (Workload.Configs.platform ~cores:3 ~levels ~t_max:65.)).Core.Lns.throughput
+    (Core.Lns.solve (Core.Eval.create (Workload.Configs.platform ~cores:3 ~levels ~t_max:65.))).Core.Lns.throughput
   in
   Alcotest.(check bool) "finer grid never hurts LNS" true
     (thr 5 >= thr 4 -. 1e-12 && thr 4 >= thr 3 -. 1e-12 && thr 3 >= thr 2 -. 1e-12)
@@ -226,7 +226,7 @@ let test_exs_explores_whole_space () =
 
 let test_exs_beats_lns () =
   let p = platform3 () in
-  let lns = Core.Lns.solve p in
+  let lns = Core.Lns.solve (Core.Eval.create p) in
   let exs = Core.Exs.solve p in
   Alcotest.(check bool) "EXS >= LNS" true
     (exs.Core.Exs.throughput >= lns.Core.Lns.throughput -. 1e-12)
@@ -368,16 +368,16 @@ let test_tpt_schedule_materialization () =
 
 let test_tpt_adjust_reaches_constraint () =
   let p = platform3 () in
+  let ev = Core.Eval.create p in
   let c = config_for_tests () in
-  Alcotest.(check bool) "initial config violates" true (Core.Tpt.peak p c > p.P.t_max);
-  let adjusted, steps = Core.Tpt.adjust_to_constraint p c in
+  Alcotest.(check bool) "initial config violates" true (Core.Tpt.peak ev c > p.P.t_max);
+  let adjusted, steps = Core.Tpt.adjust_to_constraint ev c in
   Alcotest.(check bool) "made exchanges" true (steps > 0);
-  Alcotest.(check bool) "meets T_max" true (Core.Tpt.peak p adjusted <= p.P.t_max +. 1e-9)
+  Alcotest.(check bool) "meets T_max" true (Core.Tpt.peak ev adjusted <= p.P.t_max +. 1e-9)
 
 let test_tpt_adjust_only_lowers_high_time () =
-  let p = platform3 () in
   let c = config_for_tests () in
-  let adjusted, _ = Core.Tpt.adjust_to_constraint p c in
+  let adjusted, _ = Core.Tpt.adjust_to_constraint (Core.Eval.create (platform3 ())) c in
   Array.iteri
     (fun i h ->
       Alcotest.(check bool) "high time never grows" true (h <= c.Core.Tpt.high_time.(i) +. 1e-12))
@@ -388,9 +388,10 @@ let test_tpt_fill_headroom_stops_at_constraint () =
   let c =
     { (config_for_tests ()) with Core.Tpt.high_time = [| 0.001; 0.001; 0.001 |] }
   in
-  let filled, steps = Core.Tpt.fill_headroom p c in
+  let ev = Core.Eval.create p in
+  let filled, steps = Core.Tpt.fill_headroom ev c in
   Alcotest.(check bool) "made exchanges" true (steps > 0);
-  Alcotest.(check bool) "stays under T_max" true (Core.Tpt.peak p filled <= p.P.t_max +. 1e-9);
+  Alcotest.(check bool) "stays under T_max" true (Core.Tpt.peak ev filled <= p.P.t_max +. 1e-9);
   let total_before = Array.fold_left ( +. ) 0. c.Core.Tpt.high_time in
   let total_after = Array.fold_left ( +. ) 0. filled.Core.Tpt.high_time in
   Alcotest.(check bool) "high time grew" true (total_after > total_before)
@@ -404,49 +405,49 @@ let test_tpt_validation () =
 
 let test_ao_meets_constraint () =
   let p = platform3 () in
-  let r = Core.Ao.solve p in
+  let r = Core.Ao.solve (Core.Eval.create p) in
   Alcotest.(check bool) "peak <= T_max" true (r.Core.Ao.peak <= p.P.t_max +. 1e-6)
 
 let test_ao_beats_exs_on_coarse_levels () =
   let p = platform3 () in
   let exs = Core.Exs.solve p in
-  let ao = Core.Ao.solve p in
+  let ao = Core.Ao.solve (Core.Eval.create p) in
   Alcotest.(check bool) "AO > EXS with 2 levels" true
     (ao.Core.Ao.throughput > exs.Core.Exs.throughput)
 
 let test_ao_below_ideal () =
   let p = platform3 () in
-  let r = Core.Ao.solve p in
+  let r = Core.Ao.solve (Core.Eval.create p) in
   Alcotest.(check bool) "AO cannot beat the continuous ideal" true
     (r.Core.Ao.throughput <= r.Core.Ao.ideal.Core.Ideal.throughput +. 1e-9)
 
 let test_ao_schedule_is_step_up () =
-  let r = Core.Ao.solve (platform3 ()) in
+  let r = Core.Ao.solve (Core.Eval.create (platform3 ())) in
   Alcotest.(check bool) "step-up" true (Sched.Stepup.is_step_up r.Core.Ao.schedule)
 
 let test_ao_m_within_bound () =
-  let r = Core.Ao.solve (platform3 ()) in
+  let r = Core.Ao.solve (Core.Eval.create (platform3 ())) in
   Alcotest.(check bool) "1 <= m <= M" true (r.Core.Ao.m >= 1 && r.Core.Ao.m <= r.Core.Ao.m_max)
 
 let test_ao_oscillation_helps () =
   (* Force m = 1 via m_cap and compare: allowing oscillation must not
      reduce throughput. *)
   let p = platform3 () in
-  let m1 = Core.Ao.solve ~m_cap:1 p in
-  let free = Core.Ao.solve p in
+  let m1 = Core.Ao.solve ~m_cap:1 (Core.Eval.create p) in
+  let free = Core.Ao.solve (Core.Eval.create p) in
   Alcotest.(check bool) "m free >= m=1" true
     (free.Core.Ao.throughput >= m1.Core.Ao.throughput -. 1e-9)
 
 let test_ao_fine_levels_close_to_ideal () =
   let p = platform3_5lv () in
-  let r = Core.Ao.solve p in
+  let r = Core.Ao.solve (Core.Eval.create p) in
   Alcotest.(check bool) "within 10% of ideal with 5 levels" true
     (r.Core.Ao.throughput >= 0.9 *. r.Core.Ao.ideal.Core.Ideal.throughput)
 
 let test_ao_with_fill () =
   let p = platform3 () in
-  let plain = Core.Ao.solve p in
-  let filled = Core.Ao.solve ~fill:true p in
+  let plain = Core.Ao.solve (Core.Eval.create p) in
+  let filled = Core.Ao.solve ~fill:true (Core.Eval.create p) in
   Alcotest.(check bool) "fill never hurts" true
     (filled.Core.Ao.throughput >= plain.Core.Ao.throughput -. 1e-9);
   Alcotest.(check bool) "fill stays feasible" true (filled.Core.Ao.peak <= p.P.t_max +. 1e-6)
@@ -462,7 +463,7 @@ let prop_ao_always_feasible =
           return (cores, levels, t_max)))
     (fun (cores, levels, t_max) ->
       let p = Workload.Configs.platform ~cores ~levels ~t_max in
-      let ao = Core.Ao.solve p in
+      let ao = Core.Ao.solve (Core.Eval.create p) in
       let dense =
         Sched.Peak.of_any_refined (Thermal.Backend.of_model p.P.model) p.P.power
           ~samples_per_segment:32
@@ -474,23 +475,23 @@ let prop_ao_always_feasible =
 
 let test_pco_meets_constraint () =
   let p = platform3 () in
-  let r = Core.Pco.solve p in
+  let r = Core.Pco.solve (Core.Eval.create p) in
   Alcotest.(check bool) "peak <= T_max" true (r.Core.Pco.peak <= p.P.t_max +. 0.05)
 
 let test_pco_rounds () =
   let p = platform3 () in
-  let r1 = Core.Pco.solve ~rounds:1 p in
-  let r2 = Core.Pco.solve ~rounds:2 p in
+  let r1 = Core.Pco.solve ~rounds:1 (Core.Eval.create p) in
+  let r2 = Core.Pco.solve ~rounds:2 (Core.Eval.create p) in
   Alcotest.(check bool) "extra rounds never hurt" true
     (r2.Core.Pco.throughput >= r1.Core.Pco.throughput -. 1e-6);
   Alcotest.(check bool) "rounds < 1 rejected" true
-    (match Core.Pco.solve ~rounds:0 p with
+    (match Core.Pco.solve ~rounds:0 (Core.Eval.create p) with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
 let test_pco_at_least_ao () =
   let p = platform3 () in
-  let r = Core.Pco.solve p in
+  let r = Core.Pco.solve (Core.Eval.create p) in
   Alcotest.(check bool) "PCO >= its AO seed" true
     (r.Core.Pco.throughput >= r.Core.Pco.ao.Core.Ao.throughput -. 1e-9)
 

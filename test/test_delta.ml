@@ -217,8 +217,8 @@ let two_mode_ratio (c : Tpt.config) =
     (Array.length c.Tpt.v_low)
     (fun i -> Float.max 0. (Float.min 1. (c.Tpt.high_time.(i) /. c.Tpt.period)))
 
-let hot_metric (_p : P.t) ~eval (c : Tpt.config) =
-  Eval.two_mode_end_core_temps eval ~period:c.Tpt.period ~low:c.Tpt.v_low
+let hot_metric ev (c : Tpt.config) =
+  Eval.two_mode_end_core_temps ev ~period:c.Tpt.period ~low:c.Tpt.v_low
     ~high:c.Tpt.v_high ~high_ratio:(two_mode_ratio c)
 
 let adjustable (c : Tpt.config) i =
@@ -234,18 +234,19 @@ let with_high_time (c : Tpt.config) i dt =
     Float.max 0. (Float.min c.Tpt.period (high_time.(i) +. dt));
   { c with Tpt.high_time }
 
-let old_adjust (p : P.t) ~eval ~t_unit c =
+let old_adjust ev ~t_unit c =
+  let p = Eval.platform ev in
   let n = Array.length c.Tpt.v_low in
   let rec loop c steps =
-    let temps = hot_metric p ~eval c in
-    let current_peak = Tpt.peak p ~eval c in
+    let temps = hot_metric ev c in
+    let current_peak = Tpt.peak ev c in
     if current_peak <= p.P.t_max +. 1e-9 then (c, steps)
     else begin
       let hottest = Vec.argmax temps in
       let candidate_temps =
         Array.init n (fun j ->
             if adjustable c j then
-              Some (hot_metric p ~eval (with_high_time c j (-.t_unit))).(hottest)
+              Some (hot_metric ev (with_high_time c j (-.t_unit))).(hottest)
             else None)
       in
       let best = ref None in
@@ -268,7 +269,8 @@ let old_adjust (p : P.t) ~eval ~t_unit c =
   in
   loop c 0
 
-let old_fill (p : P.t) ~eval ~t_unit c =
+let old_fill ev ~t_unit c =
+  let p = Eval.platform ev in
   let n = Array.length c.Tpt.v_low in
   let rec loop c base_peak steps =
     if base_peak > p.P.t_max -. 1e-9 then (c, steps)
@@ -276,7 +278,7 @@ let old_fill (p : P.t) ~eval ~t_unit c =
       let candidate_peaks =
         Array.init n (fun j ->
             if raisable c j t_unit then
-              Some (Tpt.peak p ~eval (with_high_time c j t_unit))
+              Some (Tpt.peak ev (with_high_time c j t_unit))
             else None)
       in
       let best = ref None in
@@ -297,7 +299,7 @@ let old_fill (p : P.t) ~eval ~t_unit c =
           loop (with_high_time c j t_unit) candidate_peak (steps + 1)
     end
   in
-  loop c (Tpt.peak p ~eval c) 0
+  loop c (Tpt.peak ev c) 0
 
 let platform3 () = Workload.Configs.platform ~cores:3 ~levels:2 ~t_max:65.
 
@@ -332,11 +334,11 @@ let test_margin0_trajectory_matches_old () =
       let period = 0.02 in
       let t_unit = period /. 200. in
       let c0 = seed_config p period in
-      let ev_old = Eval.create ~pool p in
-      let adj_old, steps_old = old_adjust p ~eval:ev_old ~t_unit c0 in
+      let ev_old = Eval.create ~pool ~cache_size:0 p in
+      let adj_old, steps_old = old_adjust ev_old ~t_unit c0 in
       let ev_new = Eval.create ~pool p in
       let adj_new, steps_new =
-        Tpt.adjust_to_constraint p ~eval:ev_new ~t_unit c0
+        Tpt.adjust_to_constraint ev_new ~t_unit c0
       in
       Alcotest.(check int)
         (pname ^ " adjust step count") steps_old steps_new;
@@ -345,9 +347,9 @@ let test_margin0_trajectory_matches_old () =
       let drained =
         { c0 with Tpt.high_time = Array.map (fun h -> 0.25 *. h) c0.Tpt.high_time }
       in
-      let fill_old, fsteps_old = old_fill p ~eval:ev_old ~t_unit drained in
+      let fill_old, fsteps_old = old_fill ev_old ~t_unit drained in
       let fill_new, fsteps_new =
-        Tpt.fill_headroom p ~eval:ev_new ~t_unit drained
+        Tpt.fill_headroom ev_new ~t_unit drained
       in
       Alcotest.(check int) (pname ^ " fill step count") fsteps_old fsteps_new;
       check_config (pname ^ " fill") fill_old fill_new;
@@ -368,13 +370,13 @@ let test_margin_soundness_dense () =
       List.iter
         (fun delta_margin ->
           let adj, _ =
-            Tpt.adjust_to_constraint p ~eval:ev ~t_unit ~delta_margin c0
+            Tpt.adjust_to_constraint ev ~t_unit ~delta_margin c0
           in
           Alcotest.(check bool)
             (Printf.sprintf "%s adjust margin %.1f meets constraint" pname
                delta_margin)
             true
-            (Tpt.peak p ~eval:ev adj <= p.P.t_max +. 1e-9);
+            (Tpt.peak ev adj <= p.P.t_max +. 1e-9);
           let drained =
             {
               c0 with
@@ -382,13 +384,13 @@ let test_margin_soundness_dense () =
             }
           in
           let filled, _ =
-            Tpt.fill_headroom p ~eval:ev ~t_unit ~delta_margin drained
+            Tpt.fill_headroom ev ~t_unit ~delta_margin drained
           in
           Alcotest.(check bool)
             (Printf.sprintf "%s fill margin %.1f stays feasible" pname
                delta_margin)
             true
-            (Tpt.peak p ~eval:ev filled <= p.P.t_max +. 1e-9))
+            (Tpt.peak ev filled <= p.P.t_max +. 1e-9))
         [ 0.1; 0.5; 2.0 ];
       Util.Pool.shutdown pool)
     [ ("pool1", 1); ("pool4", 4) ]
@@ -398,16 +400,16 @@ let test_margin_soundness_sparse () =
     P.sheet ~rows:2 ~cols:2 ~levels:(Power.Vf.table_iv 3) ~t_max:65. ()
   in
   let ev = Eval.create ~backend:Eval.Sparse p in
-  let r_exact = Core.Ao.solve ~eval:ev ~par:false p in
-  let r_delta = Core.Ao.solve ~eval:ev ~par:false ~delta_margin:0.5 p in
+  let r_exact = Core.Ao.solve ~par:false ev in
+  let r_delta = Core.Ao.solve ~par:false ~delta_margin:0.5 ev in
   Alcotest.(check bool)
     "sparse AO with delta tier meets constraint" true
-    (Tpt.peak p ~eval:ev r_delta.Core.Ao.config <= p.P.t_max +. 1e-9);
+    (Tpt.peak ev r_delta.Core.Ao.config <= p.P.t_max +. 1e-9);
   (* The exact and delta searches may legitimately pick different
      trajectories, but both must land feasible. *)
   Alcotest.(check bool)
     "sparse AO exact baseline feasible" true
-    (Tpt.peak p ~eval:ev r_exact.Core.Ao.config <= p.P.t_max +. 1e-9)
+    (Tpt.peak ev r_exact.Core.Ao.config <= p.P.t_max +. 1e-9)
 
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)

@@ -103,7 +103,8 @@ let test_ptrace_parse () =
 let test_ptrace_round_trip () =
   let t = Thermal.Ptrace.of_string sample_ptrace in
   let t' = Thermal.Ptrace.of_string (Thermal.Ptrace.to_string t) in
-  Alcotest.(check bool) "identical samples" true (t.Thermal.Ptrace.samples = t'.Thermal.Ptrace.samples)
+  Alcotest.(check (array (array (float 0.))))
+    "identical samples" t.Thermal.Ptrace.samples t'.Thermal.Ptrace.samples
 
 let test_ptrace_errors () =
   let bad what s =
@@ -189,7 +190,7 @@ let test_tsp_feasible () =
   List.iter
     (fun cores ->
       let p = Workload.Configs.platform ~cores ~levels:5 ~t_max:55. in
-      let r = Core.Tsp.solve p in
+      let r = Core.Tsp.solve (Core.Eval.create p) in
       Alcotest.(check bool)
         (Printf.sprintf "TSP stays under T_max (%d cores)" cores)
         true
@@ -198,7 +199,7 @@ let test_tsp_feasible () =
 
 let test_tsp_uniform () =
   let p = Workload.Configs.platform ~cores:6 ~levels:5 ~t_max:55. in
-  let r = Core.Tsp.solve p in
+  let r = Core.Tsp.solve (Core.Eval.create p) in
   Array.iter
     (fun v -> check_close 1e-12 "same mode everywhere" r.Core.Tsp.voltages.(0) v)
     r.Core.Tsp.voltages
@@ -207,7 +208,7 @@ let test_tsp_pessimistic_vs_exs () =
   (* TSP budgets for the worst-positioned core, so EXS (which may push
      cooler cores higher) can only match or beat it. *)
   let p = Workload.Configs.platform ~cores:9 ~levels:5 ~t_max:55. in
-  let tsp = Core.Tsp.solve p in
+  let tsp = Core.Tsp.solve (Core.Eval.create p) in
   let exs = Core.Exs.solve p in
   Alcotest.(check bool) "EXS >= TSP" true
     (exs.Core.Exs.throughput >= tsp.Core.Tsp.throughput -. 1e-9)
@@ -216,7 +217,7 @@ let test_tsp_budget_consistent () =
   (* Running every core exactly at the continuous budget puts the hottest
      core exactly at T_max. *)
   let p = Workload.Configs.platform ~cores:3 ~levels:2 ~t_max:60. in
-  let r = Core.Tsp.solve p in
+  let r = Core.Tsp.solve (Core.Eval.create p) in
   let n = Core.Platform.n_cores p in
   let temps =
     Thermal.Model.steady_core_temps p.Core.Platform.model
@@ -228,82 +229,79 @@ let test_tsp_budget_consistent () =
 
 let platform3 () = Workload.Configs.platform ~cores:3 ~levels:5 ~t_max:65.
 
-let test_governor_large_guard_safe () =
-  let g =
-    Runtime.Governor.simulate (platform3 ())
-      (Runtime.Governor.Threshold { guard = 6. })
-      ~duration:4. ()
+(* The reactive governors run as registry controllers in the epoch loop,
+   sampled every 20 ms with 8 plant substeps per epoch; [observer]
+   filters the noisy sensors through an observer of gain 0.2. *)
+let governor ~duration ?(sensor_noise = 0.) ?(observer = false) ?(seed = 0) p
+    controller =
+  let config =
+    {
+      Runtime.Loop.default with
+      Runtime.Loop.duration;
+      substeps = 8;
+      seed;
+      sensor_noise;
+      observer_gain = (if observer then Some 0.2 else None);
+    }
   in
-  Alcotest.(check int) "no violations with a wide guard" 0 g.Runtime.Governor.violations;
-  Alcotest.(check bool) "does useful work" true (g.Runtime.Governor.throughput > 0.6)
+  Runtime.Loop.run ~config (Core.Eval.create p) controller
+
+let threshold guard = Runtime.Controllers.threshold ~guard ()
+
+let test_governor_large_guard_safe () =
+  let g = governor ~duration:4. (platform3 ()) (threshold 6.) in
+  Alcotest.(check int) "no violations with a wide guard" 0 g.Runtime.Loop.violations;
+  Alcotest.(check bool) "does useful work" true (g.Runtime.Loop.throughput > 0.6)
 
 let test_governor_noise_hurts () =
-  let guard = 0.5 in
-  let clean =
-    Runtime.Governor.simulate (platform3 ())
-      (Runtime.Governor.Threshold { guard })
-      ~duration:6. ()
-  in
+  let clean = governor ~duration:6. (platform3 ()) (threshold 0.5) in
   let noisy =
-    Runtime.Governor.simulate (platform3 ())
-      (Runtime.Governor.Threshold { guard })
-      ~duration:6. ~sensor_noise:2.0 ~seed:1 ()
+    governor ~duration:6. ~sensor_noise:2.0 ~seed:1 (platform3 ()) (threshold 0.5)
   in
   Alcotest.(check bool) "noise increases violations" true
-    (noisy.Runtime.Governor.violations >= clean.Runtime.Governor.violations)
+    (noisy.Runtime.Loop.violations >= clean.Runtime.Loop.violations)
 
 let test_governor_static () =
   let p = platform3 () in
-  let low =
-    Runtime.Governor.simulate p (Runtime.Governor.Static [| 0; 0; 0 |]) ~duration:4. ()
-  in
-  check_close 1e-2 "all-low throughput ~0.6" 0.6 low.Runtime.Governor.throughput;
-  let high =
-    Runtime.Governor.simulate p (Runtime.Governor.Static [| 4; 4; 4 |]) ~duration:4. ()
-  in
-  Alcotest.(check bool) "all-high overheats" true (high.Runtime.Governor.peak > 65.);
+  let low = governor ~duration:4. p (Runtime.Controllers.static [| 0; 0; 0 |]) in
+  check_close 1e-2 "all-low throughput ~0.6" 0.6 low.Runtime.Loop.throughput;
+  let high = governor ~duration:4. p (Runtime.Controllers.static [| 4; 4; 4 |]) in
+  Alcotest.(check bool) "all-high overheats" true (high.Runtime.Loop.peak > 65.);
   Alcotest.(check bool) "arity checked" true
-    (match
-       Runtime.Governor.simulate p (Runtime.Governor.Static [| 0 |]) ~duration:1. ()
-     with
+    (match governor ~duration:1. p (Runtime.Controllers.static [| 0 |]) with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
 let test_governor_pid_tracks_setpoint () =
   let g =
-    Runtime.Governor.simulate (platform3 ())
-      (Runtime.Governor.Pid { kp = 0.05; ki = 0.005; guard = 2. })
-      ~duration:10. ()
+    governor ~duration:10. (platform3 ())
+      (Runtime.Controllers.pid ~kp:0.05 ~ki:0.005 ~guard:2. ())
   in
   (* The PI loop must settle somewhere useful: above all-low throughput,
      with a peak in the neighbourhood of the setpoint. *)
-  Alcotest.(check bool) "useful throughput" true (g.Runtime.Governor.throughput > 0.7);
+  Alcotest.(check bool) "useful throughput" true (g.Runtime.Loop.throughput > 0.7);
   Alcotest.(check bool) "peak near setpoint band" true
-    (g.Runtime.Governor.peak > 55. && g.Runtime.Governor.peak < 72.)
+    (g.Runtime.Loop.peak > 55. && g.Runtime.Loop.peak < 72.)
 
 let test_governor_observer_reduces_violations () =
   (* Same aggressive guard and noise, with and without observer-based
      filtering: the filtered loop must violate at most as often. *)
   let p = platform3 () in
-  let run use_observer =
-    Runtime.Governor.simulate p
-      (Runtime.Governor.Threshold { guard = 0.5 })
-      ~duration:8. ~sensor_noise:2.0 ~use_observer ~seed:5 ()
+  let run observer =
+    governor ~duration:8. ~sensor_noise:2.0 ~observer ~seed:5 p (threshold 0.5)
   in
   let raw = run false and filtered = run true in
   Alcotest.(check bool)
     (Printf.sprintf "filtered %d <= raw %d violations"
-       filtered.Runtime.Governor.violations raw.Runtime.Governor.violations)
+       filtered.Runtime.Loop.violations raw.Runtime.Loop.violations)
     true
-    (filtered.Runtime.Governor.violations <= raw.Runtime.Governor.violations);
+    (filtered.Runtime.Loop.violations <= raw.Runtime.Loop.violations);
   Alcotest.(check bool) "filtered loop switches less" true
-    (filtered.Runtime.Governor.switches <= raw.Runtime.Governor.switches)
+    (filtered.Runtime.Loop.switches <= raw.Runtime.Loop.switches)
 
 let test_governor_deterministic () =
   let run () =
-    Runtime.Governor.simulate (platform3 ())
-      (Runtime.Governor.Threshold { guard = 1. })
-      ~duration:3. ~sensor_noise:1. ~seed:9 ()
+    governor ~duration:3. ~sensor_noise:1. ~seed:9 (platform3 ()) (threshold 1.)
   in
   Alcotest.(check bool) "same seed, same stats" true (run () = run ())
 
@@ -363,7 +361,7 @@ let test_export_model_files () =
 
 let test_sprint_positive_burst () =
   let p = Workload.Configs.platform ~cores:3 ~levels:2 ~t_max:60. in
-  let plan = Core.Sprint.plan p in
+  let plan = Core.Sprint.plan (Core.Eval.create p) in
   Alcotest.(check bool) "finite positive burst" true
     (Float.is_finite plan.Core.Sprint.burst_duration
     && plan.Core.Sprint.burst_duration > 0.);
@@ -384,7 +382,9 @@ let test_sprint_positive_burst () =
 
 let test_sprint_longer_with_higher_tmax () =
   let burst t_max =
-    (Core.Sprint.plan (Workload.Configs.platform ~cores:3 ~levels:2 ~t_max)).Core.Sprint.burst_duration
+    (Core.Sprint.plan
+       (Core.Eval.create (Workload.Configs.platform ~cores:3 ~levels:2 ~t_max)))
+      .Core.Sprint.burst_duration
   in
   Alcotest.(check bool) "higher cap, longer sprint" true (burst 65. > burst 50.)
 
@@ -392,7 +392,7 @@ let test_sprint_infinite_when_sustainable () =
   (* With a generous cap the all-high assignment is sustainable: no
      finite burst. *)
   let p = Workload.Configs.platform ~cores:2 ~levels:2 ~t_max:75. in
-  let plan = Core.Sprint.plan p in
+  let plan = Core.Sprint.plan (Core.Eval.create p) in
   Alcotest.(check bool) "no throttle needed" true
     (Float.is_finite plan.Core.Sprint.burst_duration = false);
   Alcotest.(check (float 1e-12)) "no sprint gain to speak of" 0.

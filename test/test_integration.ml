@@ -8,10 +8,11 @@ let check_close tol = Alcotest.(check (float tol))
 
 let run_all ~cores ~levels ~t_max =
   let p = Workload.Configs.platform ~cores ~levels ~t_max in
-  let lns = Core.Lns.solve p in
+  let ev = Core.Eval.create p in
+  let lns = Core.Lns.solve ev in
   let exs = Core.Exs.solve p in
-  let ao = Core.Ao.solve p in
-  let pco = Core.Pco.solve p in
+  let ao = Core.Ao.solve ev in
+  let pco = Core.Pco.solve ev in
   (p, lns, exs, ao, pco)
 
 let test_policy_ordering_2core () =
@@ -66,7 +67,7 @@ let test_ao_schedule_verified_by_dense_scan () =
   (* The AO pipeline trusts Theorem 1; double-check its final schedule
      against the dense scanner on the full thermal model. *)
   let p = Workload.Configs.platform ~cores:3 ~levels:2 ~t_max:65. in
-  let ao = Core.Ao.solve p in
+  let ao = Core.Ao.solve (Core.Eval.create p) in
   let scan =
     Sched.Peak.of_any
       (Thermal.Backend.of_model p.Core.Platform.model)
@@ -94,7 +95,7 @@ let test_3d_platform_pipeline () =
   let v = ideal.Core.Ideal.voltages in
   (* Cores 0,1 are on the package-attached layer; 2,3 stacked above. *)
   Alcotest.(check bool) "stacked cores run slower" true (v.(2) < v.(0) && v.(3) < v.(1));
-  let ao = Core.Ao.solve p in
+  let ao = Core.Ao.solve (Core.Eval.create p) in
   Alcotest.(check bool) "AO meets constraint on 3D" true (ao.Core.Ao.peak <= 65. +. 1e-6)
 
 let test_sixteen_core_stress () =
@@ -104,10 +105,11 @@ let test_sixteen_core_stress () =
     Core.Platform.grid ~rows:4 ~cols:4 ~levels:(Power.Vf.table_iv 3) ~t_max:55. ()
   in
   Alcotest.(check int) "16 cores" 16 (Core.Platform.n_cores p);
-  let ao, elapsed = Util.Timer.time_it (fun () -> Core.Ao.solve p) in
+  let ev = Core.Eval.create p in
+  let ao, elapsed = Util.Timer.time_it (fun () -> Core.Ao.solve ev) in
   Alcotest.(check bool) "feasible" true (ao.Core.Ao.peak <= 55. +. 1e-6);
   Alcotest.(check bool) "beats LNS" true
-    (ao.Core.Ao.throughput >= (Core.Lns.solve p).Core.Lns.throughput -. 1e-9);
+    (ao.Core.Ao.throughput >= (Core.Lns.solve ev).Core.Lns.throughput -. 1e-9);
   Alcotest.(check bool) "solves in reasonable time" true (elapsed < 30.);
   (* Interior cores are hotter, so the ideal solve must slow them down. *)
   let ideal = Core.Ideal.solve p in
@@ -123,7 +125,7 @@ let test_ao_schedule_on_layered_model () =
      degrees, showing that the core-level lumping is sound. *)
   let fp = Thermal.Floorplan.grid ~rows:1 ~cols:3 ~core_width:4e-3 ~core_height:4e-3 in
   let p = Workload.Configs.platform ~cores:3 ~levels:2 ~t_max:65. in
-  let ao = Core.Ao.solve p in
+  let ao = Core.Ao.solve (Core.Eval.create p) in
   let layered = Thermal.Hotspot.layered fp in
   let layered_peak =
     Sched.Peak.of_any (Thermal.Backend.of_model layered) p.Core.Platform.power
@@ -137,7 +139,7 @@ let test_stable_status_vs_transient_sim () =
   (* The whole pipeline rests on Eq. (4); verify it against a brute-force
      multi-period transient of the AO schedule. *)
   let p = Workload.Configs.platform ~cores:2 ~levels:2 ~t_max:60. in
-  let ao = Core.Ao.solve p in
+  let ao = Core.Ao.solve (Core.Eval.create p) in
   let profile =
     Sched.Peak.profile
       (Thermal.Backend.of_model p.Core.Platform.model)
@@ -248,7 +250,7 @@ let test_parallel_real_workload () =
     Util.Pool.map
       (fun cores ->
         let p = Workload.Configs.platform ~cores ~levels:2 ~t_max:60. in
-        (Core.Lns.solve p).Core.Lns.throughput)
+        (Core.Lns.solve (Core.Eval.create p)).Core.Lns.throughput)
       [ 2; 3; 2; 3 ]
   in
   Alcotest.(check int) "all results back" 4 (List.length results);

@@ -126,7 +126,7 @@ let test_nested_global_pool () =
     Util.Pool.map
       (fun cores ->
         let p = Workload.Configs.platform ~cores ~levels:2 ~t_max:60. in
-        (Core.Ao.solve p).Core.Ao.throughput)
+        (Core.Ao.solve (Core.Eval.create p)).Core.Ao.throughput)
       [ 2; 3; 2; 3 ]
   in
   Alcotest.(check int) "all results back" 4 (List.length results);
@@ -161,11 +161,14 @@ let test_env_override () =
 (* Policy determinism across pool sizes: the parallel searches must
    return bit-identical results to their sequential paths (the CI matrix
    re-runs the whole suite under FOSC_DOMAINS=1 for the same reason;
-   this covers it inside a single process). *)
+   this covers it inside a single process).  The sequential arm runs on a
+   cache-off context, so it never replays a value the parallel arm
+   memoized. *)
 let test_policies_match_sequential () =
   let p = Workload.Configs.platform ~cores:3 ~levels:3 ~t_max:60. in
-  let seq = Core.Ao.solve ~par:false p in
-  let par = Core.Ao.solve p in
+  let reference = Core.Eval.create ~cache_size:0 p and ev = Core.Eval.create p in
+  let seq = Core.Ao.solve ~par:false reference in
+  let par = Core.Ao.solve ev in
   Alcotest.(check int) "AO picks the same m" seq.Core.Ao.m par.Core.Ao.m;
   Alcotest.(check (float 0.)) "AO peak identical" seq.Core.Ao.peak par.Core.Ao.peak;
   Alcotest.(check (float 0.)) "AO throughput identical" seq.Core.Ao.throughput
@@ -173,13 +176,13 @@ let test_policies_match_sequential () =
   Alcotest.(check int) "AO same adjustment trajectory" seq.Core.Ao.adjustment_steps
     par.Core.Ao.adjustment_steps;
   let demands = [| 1.0; 0.9; 0.8 |] in
-  let dseq = Core.Demand.solve ~par:false p ~demands in
-  let dpar = Core.Demand.solve p ~demands in
+  let dseq = Core.Demand.solve ~par:false reference ~demands in
+  let dpar = Core.Demand.solve ev ~demands in
   Alcotest.(check int) "Demand picks the same m" dseq.Core.Demand.m dpar.Core.Demand.m;
   Alcotest.(check (float 0.)) "Demand peak identical" dseq.Core.Demand.peak
     dpar.Core.Demand.peak;
-  let pseq = Core.Pco.solve ~par:false ~offsets_per_core:4 p in
-  let ppar = Core.Pco.solve ~offsets_per_core:4 p in
+  let pseq = Core.Pco.solve ~par:false ~offsets_per_core:4 reference in
+  let ppar = Core.Pco.solve ~offsets_per_core:4 ev in
   Alcotest.(check (float 0.)) "PCO peak identical" pseq.Core.Pco.peak
     ppar.Core.Pco.peak;
   Alcotest.(check (float 0.)) "PCO throughput identical" pseq.Core.Pco.throughput

@@ -146,7 +146,12 @@ let test_outcomes_populated () =
 (* ------------------------------------------------------ adapter parity *)
 
 (* Each adapter must report exactly what the direct typed solve returns —
-   same floats to the last bit — with caches on and at any pool size. *)
+   same floats to the last bit — with caches on and at any pool size.
+   The direct arm runs on a cache-off context, the differential
+   reference the Eval docs name: every value it reports was computed
+   fresh, never replayed from a memo table. *)
+
+let reference p = Eval.create ~cache_size:0 p
 
 let parity_pools () = [ ("pool1", Util.Pool.create ~size:1 ()); ("pool4", Util.Pool.create ~size:4 ()) ]
 
@@ -158,7 +163,7 @@ let with_pools f =
 
 let test_parity_lns () =
   let p = platform3 () in
-  let direct = Core.Lns.solve p in
+  let direct = Core.Lns.solve (reference p) in
   with_pools (fun tag pool ->
       let o = Solver.run (Core.Registry.find_exn "lns") (Eval.create ~pool p) in
       check_bits_array (tag ^ " voltages") direct.Core.Lns.voltages o.Solver.voltages;
@@ -185,7 +190,7 @@ let test_parity_ao () =
   (* AO's parallel path always uses the shared global pool; the pool
      determinism guarantee (bit-identical at any size) lets us compare
      against adapters driven through explicitly sized pools anyway. *)
-  let direct = Core.Ao.solve p in
+  let direct = Core.Ao.solve (reference p) in
   with_pools (fun tag pool ->
       let o = Solver.run (Core.Registry.find_exn "ao") (Eval.create ~pool p) in
       check_bits (tag ^ " throughput") direct.Core.Ao.throughput o.Solver.throughput;
@@ -202,7 +207,7 @@ let test_parity_ao () =
 
 let test_parity_pco () =
   let p = platform3 () in
-  let direct = Core.Pco.solve p in
+  let direct = Core.Pco.solve (reference p) in
   with_pools (fun tag pool ->
       let o = Solver.run (Core.Registry.find_exn "pco") (Eval.create ~pool p) in
       check_bits (tag ^ " throughput") direct.Core.Pco.throughput o.Solver.throughput;
@@ -221,7 +226,7 @@ let test_parity_ideal () =
 
 let test_parity_tsp () =
   let p = platform3 () in
-  let direct = Core.Tsp.solve p in
+  let direct = Core.Tsp.solve (reference p) in
   let o = Solver.run (Core.Registry.find_exn "tsp") (Eval.create p) in
   check_bits_array "voltages" direct.Core.Tsp.voltages o.Solver.voltages;
   check_bits "peak" direct.Core.Tsp.peak o.Solver.peak
@@ -229,7 +234,7 @@ let test_parity_tsp () =
 let test_parity_demand () =
   let p = Workload.Configs.platform ~cores:3 ~levels:5 ~t_max:60. in
   let demands = [| 1.0; 0.9; 0.8 |] in
-  let direct = Core.Demand.solve p ~demands in
+  let direct = Core.Demand.solve (reference p) ~demands in
   with_pools (fun tag pool ->
       let o =
         Solver.run
@@ -242,7 +247,7 @@ let test_parity_demand () =
 
 let test_parity_sprint () =
   let p = platform3 () in
-  let direct = Core.Sprint.plan p in
+  let direct = Core.Sprint.plan (reference p) in
   with_pools (fun tag pool ->
       let o = Solver.run (Core.Registry.find_exn "sprint") (Eval.create ~pool p) in
       check_bits (tag ^ " sustained throughput")

@@ -299,7 +299,7 @@ let test_screened_ao_matches_unscreened () =
     let ev =
       Core.Eval.create ~backend:Core.Eval.Sparse ~screen_margin:margin p
     in
-    Core.Ao.solve ~eval:ev ~par:false p
+    Core.Ao.solve ~par:false ev
   in
   let screened = run 0.5 and exhaustive = run 0. in
   Alcotest.(check int) "same m" exhaustive.Core.Ao.m screened.Core.Ao.m;
@@ -344,9 +344,9 @@ let test_sparse_context_skips_eigensolve () =
     Core.Eval.create ~backend:Core.Eval.Sparse ~screen_margin:0.5 sparse_p
   in
   let dense = Core.Eval.create dense_p in
-  let ao_s = Core.Ao.solve ~eval:sparse ~delta_margin:1.0 sparse_p in
+  let ao_s = Core.Ao.solve ~delta_margin:1.0 sparse in
   let demands = ao_s.Core.Ao.ideal.Core.Ideal.voltages in
-  let dm_s = Core.Demand.solve ~eval:sparse sparse_p ~demands in
+  let dm_s = Core.Demand.solve sparse ~demands in
   Alcotest.(check bool) "sparse model still undecomposed" false
     (Thermal.Model.decomposed (model sparse_p));
   Alcotest.(check bool) "no response stats on a sparse context" true
@@ -356,8 +356,8 @@ let test_sparse_context_skips_eigensolve () =
   ignore (Core.Eval.engine dense : Thermal.Modal.t);
   Alcotest.(check bool) "dense engine forces the eigensolve" true
     (Thermal.Model.decomposed (model dense_p));
-  let ao_d = Core.Ao.solve ~eval:dense ~delta_margin:1.0 dense_p in
-  let dm_d = Core.Demand.solve ~eval:dense dense_p ~demands in
+  let ao_d = Core.Ao.solve ~delta_margin:1.0 dense in
+  let dm_d = Core.Demand.solve dense ~demands in
   Alcotest.(check int) "AO m" ao_d.Core.Ao.m ao_s.Core.Ao.m;
   same_config "AO" ao_d.Core.Ao.config ao_s.Core.Ao.config;
   Alcotest.(check (float 1e-9)) "AO peak" ao_d.Core.Ao.peak ao_s.Core.Ao.peak;
@@ -365,7 +365,7 @@ let test_sparse_context_skips_eigensolve () =
     ao_s.Core.Ao.throughput;
   Alcotest.(check (float 1e-9)) "sparse AO config re-priced densely"
     ao_s.Core.Ao.peak
-    (Core.Tpt.peak dense_p ~eval:dense ao_s.Core.Ao.config);
+    (Core.Tpt.peak dense ao_s.Core.Ao.config);
   Alcotest.(check int) "Demand m" dm_d.Core.Demand.m dm_s.Core.Demand.m;
   Alcotest.(check bool) "Demand verdict" dm_d.Core.Demand.feasible
     dm_s.Core.Demand.feasible;
@@ -373,6 +373,76 @@ let test_sparse_context_skips_eigensolve () =
     dm_d.Core.Demand.delivered dm_s.Core.Demand.delivered;
   Alcotest.(check (float 1e-9)) "Demand peak" dm_d.Core.Demand.peak
     dm_s.Core.Demand.peak
+
+(* Bad scan inputs are rejected identically by both engines: a
+   [samples_per_segment] below 1 (the sparse scan once returned the
+   boundary-only peak where the dense one raised) and a refinement
+   tolerance that is not positive and finite (the golden-section loop
+   never terminated on 0, a negative value or NaN). *)
+let sheet2 () =
+  Core.Platform.sheet ~rows:2 ~cols:2 ~levels:(Power.Vf.table_iv 2) ~t_max:65. ()
+
+let shifted_schedule n =
+  let s =
+    Sched.Schedule.two_mode ~period:0.05 ~low:(Array.make n 0.6)
+      ~high:(Array.make n 1.3) ~high_ratio:(Array.make n 0.5)
+  in
+  Sched.Schedule.shift s 1 0.01
+
+let raises msg f =
+  Alcotest.(check bool) msg true
+    (match f () with exception Invalid_argument _ -> true | _ -> false)
+
+let kinds = [ ("dense", Core.Eval.Dense); ("sparse", Core.Eval.Sparse) ]
+
+let test_refined_rejects_bad_tol () =
+  List.iter
+    (fun (name, backend) ->
+      let p = sheet2 () in
+      let ev = Core.Eval.create ~cache_size:0 ~backend p in
+      let s = shifted_schedule (Core.Platform.n_cores p) in
+      let refined tol () =
+        Sched.Peak.of_any_refined (Core.Eval.backend ev) p.Core.Platform.power ~tol s
+      in
+      List.iter
+        (fun tol -> raises (Printf.sprintf "%s tol %g" name tol) (refined tol))
+        [ 0.; -1.; Float.nan; Float.infinity ];
+      Alcotest.(check bool) (name ^ " tol 1e-4 is finite") true
+        (Float.is_finite (refined 1e-4 ())))
+    kinds
+
+let test_scan_rejects_bad_samples () =
+  List.iter
+    (fun (name, backend) ->
+      let p = sheet2 () in
+      let ev = Core.Eval.create ~cache_size:0 ~backend p in
+      let s = shifted_schedule (Core.Platform.n_cores p) in
+      List.iter
+        (fun samples_per_segment ->
+          let tag what = Printf.sprintf "%s %s samples %d" name what samples_per_segment in
+          raises (tag "Eval.any_peak") (fun () ->
+              Core.Eval.any_peak ev ~samples_per_segment s);
+          raises (tag "of_any_refined") (fun () ->
+              Sched.Peak.of_any_refined (Core.Eval.backend ev) p.Core.Platform.power
+                ~samples_per_segment s))
+        [ 0; -3 ])
+    kinds;
+  (* The direct Krylov engine is the sparse engines' oracle: it rejects
+     the same inputs. *)
+  let p = sheet2 () in
+  let sp = Sp.of_model p.Core.Platform.model in
+  let profile =
+    Sched.Peak.profile
+      (Core.Eval.backend (Core.Eval.create ~backend:Core.Eval.Sparse p))
+      p.Core.Platform.power
+      (shifted_schedule (Core.Platform.n_cores p))
+  in
+  raises "Sparse_model.peak_scan samples 0" (fun () ->
+      Sp.peak_scan sp ~samples_per_segment:0 profile);
+  raises "Sparse_model.peak_refined samples 0" (fun () ->
+      Sp.peak_refined sp ~samples_per_segment:0 profile);
+  raises "Sparse_model.peak_refined tol nan" (fun () ->
+      Sp.peak_refined sp ~tol:Float.nan profile)
 
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
@@ -413,5 +483,12 @@ let () =
         [
           Alcotest.test_case "sparse AO/Demand skip the eigensolve" `Quick
             test_sparse_context_skips_eigensolve;
+        ] );
+      ( "input-checks",
+        [
+          Alcotest.test_case "bad refine tol raises, both engines" `Quick
+            test_refined_rejects_bad_tol;
+          Alcotest.test_case "samples < 1 raises, both engines" `Quick
+            test_scan_rejects_bad_samples;
         ] );
     ]

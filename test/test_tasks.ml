@@ -69,7 +69,7 @@ let test_partition_validation () =
 
 let test_demand_low_is_feasible () =
   let p = platform () in
-  let r = Core.Demand.solve p ~demands:[| 0.7; 0.7; 0.7 |] in
+  let r = Core.Demand.solve (Core.Eval.create p) ~demands:[| 0.7; 0.7; 0.7 |] in
   Alcotest.(check bool) "feasible" true r.Core.Demand.feasible;
   Alcotest.(check bool) "margin positive" true (r.Core.Demand.margin > 0.);
   Array.iteri
@@ -82,18 +82,18 @@ let test_demand_low_is_feasible () =
 
 let test_demand_max_is_infeasible () =
   let p = platform () in
-  let r = Core.Demand.solve p ~demands:[| 1.3; 1.3; 1.3 |] in
+  let r = Core.Demand.solve (Core.Eval.create p) ~demands:[| 1.3; 1.3; 1.3 |] in
   Alcotest.(check bool) "all-max infeasible at 60C" false r.Core.Demand.feasible;
   Alcotest.(check bool) "margin negative" true (r.Core.Demand.margin < 0.)
 
 let test_demand_monotone_in_demand () =
   let p = platform () in
-  let peak d = (Core.Demand.solve p ~demands:(Array.make 3 d)).Core.Demand.peak in
+  let peak d = (Core.Demand.solve (Core.Eval.create p) ~demands:(Array.make 3 d)).Core.Demand.peak in
   Alcotest.(check bool) "higher demand, hotter" true (peak 1.1 > peak 0.8)
 
 let test_demand_under_vmin_overprovisions () =
   let p = platform () in
-  let r = Core.Demand.solve p ~demands:[| 0.1; 0.; 0.3 |] in
+  let r = Core.Demand.solve (Core.Eval.create p) ~demands:[| 0.1; 0.; 0.3 |] in
   Alcotest.(check bool) "feasible" true r.Core.Demand.feasible;
   Array.iter
     (fun d -> check_close 1e-9 "served at v_min" 0.6 d)
@@ -102,17 +102,17 @@ let test_demand_under_vmin_overprovisions () =
 let test_demand_validation () =
   let p = platform () in
   Alcotest.(check bool) "arity checked" true
-    (match Core.Demand.solve p ~demands:[| 1. |] with
+    (match Core.Demand.solve (Core.Eval.create p) ~demands:[| 1. |] with
     | exception Invalid_argument _ -> true
     | _ -> false);
   Alcotest.(check bool) "range checked" true
-    (match Core.Demand.solve p ~demands:[| 1.4; 1.; 1. |] with
+    (match Core.Demand.solve (Core.Eval.create p) ~demands:[| 1.4; 1.; 1. |] with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
 let test_demand_schedule_verified () =
   let p = platform () in
-  let r = Core.Demand.solve p ~demands:[| 1.0; 0.9; 0.8 |] in
+  let r = Core.Demand.solve (Core.Eval.create p) ~demands:[| 1.0; 0.9; 0.8 |] in
   let scan =
     Sched.Peak.of_any_refined
       (Thermal.Backend.of_model p.Core.Platform.model)
