@@ -83,7 +83,7 @@ let tests () =
            ignore (Sched.Peak.of_any dense3 pm ~samples_per_segment:24 s)));
     (* Fig. 4: the (I-K)^{-1} stable-status solve on 9 cores. *)
     Test.make ~name:"fig4-5/matex-stable-9core"
-      (Staged.stage (fun () -> ignore (Thermal.Matex.stable_start model9 profile9)));
+      (Staged.stage (fun () -> ignore (Thermal.Backend.stable_state dense9 profile9)));
     (* Fig. 5: one m-oscillation peak evaluation. *)
     Test.make ~name:"fig5/oscillate-peak"
       (Staged.stage (fun () ->
@@ -124,17 +124,18 @@ let tests () =
      ignore (Core.Eval.engine ev3);
      Test.make ~name:"ext/ao-3core-response"
        (Staged.stage (fun () -> ignore (Core.Solver.run ~params:seq_params ao ev3))));
-    (* Superposed streaming stable-status peak vs the LU reference on
-       the same 9-core profile — the per-candidate cost the response
-       engine removes. *)
+    (* Superposed streaming stable-status peak vs the theta-space oracle
+       (a fresh propagator per segment and one dense LU) on the same
+       9-core profile — the per-candidate cost the response engine
+       removes. *)
     Test.make ~name:"ext/peak-superpose-vs-lu/superpose"
       (Staged.stage (fun () ->
-           ignore (Thermal.Matex.end_of_period_peak model9 profile9)));
+           ignore (dense9.max_core_temp (Thermal.Backend.stable_state dense9 profile9))));
     Test.make ~name:"ext/peak-superpose-vs-lu/lu"
       (Staged.stage (fun () ->
            ignore
              (Thermal.Model.max_core_temp model9
-                (Thermal.Matex.Reference.stable_start model9 profile9))));
+                (Thermal.Matex.stable_start model9 profile9))));
     (* Eval-cache payoff: the full comparison sweep with a fresh context
        every run (cold) vs one shared context whose memo tables persist
        across runs (warm).  The gap is the memoization win. *)
@@ -148,8 +149,6 @@ let tests () =
               (Experiments.Exp_common.run_policies ~eval:warm ~cores:3 ~levels:3
                  ~t_max:65. ()))));
     (* Numeric kernels under everything above. *)
-    Test.make ~name:"kernel/propagator-9x9"
-      (Staged.stage (fun () -> ignore (Thermal.Model.propagator model9 0.01)));
     Test.make ~name:"kernel/expm-9x9"
       (Staged.stage (fun () -> ignore (Linalg.Expm.expm_scaled a9 0.01)));
     Test.make ~name:"kernel/sym-eig-9x9"
@@ -217,9 +216,10 @@ let tests () =
     (let grid = Thermal.Grid_model.build ~subdivisions:3 (Thermal.Floorplan.grid ~rows:1 ~cols:3 ~core_width:4e-3 ~core_height:4e-3) in
      let psi = Thermal.Grid_model.expand_powers grid (Array.make 3 15.) in
      let profile = [ { Thermal.Matex.duration = 0.05; psi } ] in
+     let grid_engine = Thermal.Backend.of_model grid.Thermal.Grid_model.model in
      Test.make ~name:"ext/grid-27cell-stable"
        (Staged.stage (fun () ->
-            ignore (Thermal.Matex.stable_start grid.Thermal.Grid_model.model profile))));
+            ignore (Thermal.Backend.stable_state grid_engine profile))));
     (* Sparse/Krylov backend kernels: the 256-cell steady CG solve, the
        1024-cell stable-status peak (shift-invert-free expmv + CG fixed
        point), and the dense-vs-sparse one-shot crossover at 64 cells —
@@ -518,7 +518,9 @@ let tests () =
     (let profile3 = Sched.Peak.profile dense3 pm (Sched.Schedule.two_mode ~period:0.1 ~low:[| 0.6; 0.6; 0.6 |] ~high:[| 1.3; 1.3; 1.3 |] ~high_ratio:[| 0.4; 0.5; 0.6 |]) in
      Test.make ~name:"ext/peak-refined-3core"
        (Staged.stage (fun () ->
-            ignore (Thermal.Matex.peak_refined model3 ~samples_per_segment:16 profile3))));
+            ignore
+              (Thermal.Trace.peak_refined dense3 ~samples_per_segment:16 ~tol:1e-4
+                 profile3))));
     (let demand = Core.Registry.find_exn "demand"
      and ev =
        Core.Eval.create ~cache_size:0

@@ -62,7 +62,9 @@ let run_replay ?export_dir ~flp ~ptrace ~interval ~layered ~csv () =
   Printf.printf "replaying %d power samples at %.4gs intervals\n"
     (Array.length trace_in.Thermal.Ptrace.samples)
     interval;
-  let trace = Thermal.Ptrace.replay model trace_in ~interval ~column_map in
+  let trace =
+    Thermal.Ptrace.replay (Thermal.Backend.of_model model) trace_in ~interval ~column_map
+  in
   Printf.printf "trace peak: %.2f C\n" (Thermal.Trace.peak trace);
   write_csv csv model trace
 
@@ -75,15 +77,16 @@ let run_two_mode ~model ~layered ~v_low ~v_high ~high_ratio ~period ~periods ~cs
       ~high:(Array.make n v_high)
       ~high_ratio:(Array.make n high_ratio)
   in
-  let profile = Sched.Peak.profile (Thermal.Backend.of_model model) pm schedule in
-  let trace = Thermal.Trace.from_ambient model ~periods ~samples_per_segment:16 profile in
+  let b = Thermal.Backend.of_model model in
+  let profile = Sched.Peak.profile b pm schedule in
+  let trace = Thermal.Trace.from_ambient b ~periods ~samples_per_segment:16 profile in
   banner ();
   print_model_summary ~layered model;
   Printf.printf "schedule:\n";
   Format.printf "%a" Sched.Schedule.pp schedule;
   Printf.printf "trace peak over %d periods: %.2f C\n" periods (Thermal.Trace.peak trace);
   Printf.printf "stable-status peak (analytic): %.2f C\n"
-    (Thermal.Matex.peak_refined model ~samples_per_segment:32 profile);
+    (Sched.Peak.of_any_refined b pm ~samples_per_segment:32 schedule);
   Printf.printf "periods to stable status: %d\n"
     (Thermal.Trace.periods_to_stable model profile);
   (match gantt with
@@ -108,7 +111,9 @@ let run_synthetic ?export_dir ~fp ~layered ~duration ~interval ~seed ~csv () =
     (Array.length trace_in.Thermal.Ptrace.samples)
     interval
     (Workload.Phases.mean_utilization Workload.Phases.default_phases);
-  let trace = Thermal.Ptrace.replay model trace_in ~interval ~column_map in
+  let trace =
+    Thermal.Ptrace.replay (Thermal.Backend.of_model model) trace_in ~interval ~column_map
+  in
   Printf.printf "trace peak: %.2f C\n" (Thermal.Trace.peak trace);
   write_csv csv model trace
 
@@ -213,4 +218,16 @@ let () =
         "Mini-HotSpot: trace periodic two-mode schedules or replay HotSpot \
          .flp/.ptrace inputs"
   in
-  exit (Cmd.eval (Cmd.v info term))
+  (* A rejected input (NaN or non-positive time, zero periods) surfaces
+     as [Invalid_argument] from the library's boundary checks: report it
+     as one line and fail, not as an internal error. *)
+  exit
+    (match Cmd.eval ~catch:false (Cmd.v info term) with
+    | code -> code
+    | exception Invalid_argument msg ->
+        Printf.eprintf "fosc-thermsim: %s\n%!" msg;
+        Cmd.Exit.some_error
+    | exception e ->
+        Printf.eprintf "fosc-thermsim: internal error, uncaught exception:\n%s\n%!"
+          (Printexc.to_string e);
+        Cmd.Exit.internal_error)

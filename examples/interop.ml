@@ -42,7 +42,10 @@ let () =
 
   (* 3. replay. *)
   let map = Thermal.Ptrace.columns_for_model trace names in
-  let temps = Thermal.Ptrace.replay model trace ~interval:0.02 ~column_map:map in
+  let temps =
+    Thermal.Ptrace.replay (Thermal.Backend.of_model model) trace ~interval:0.02
+      ~column_map:map
+  in
   Printf.printf "replay: peak %.2f C over %.1fs\n" (Thermal.Trace.peak temps) 4.0;
 
   (* 4. observer vs noisy sensors over the same replay (the observer

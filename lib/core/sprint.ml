@@ -16,7 +16,7 @@ let plan ?(margin = 0.5) ev =
   let profile = [ { Thermal.Matex.duration = 1.0; psi } ] in
   let burst_duration =
     match
-      Thermal.Matex.time_to_threshold p.model ~max_periods:10_000
+      Thermal.Trace.time_to_threshold (Eval.backend ev) ~max_periods:10_000
         ~threshold:(p.t_max -. margin) profile
     with
     | Some t -> t

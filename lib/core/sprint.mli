@@ -4,8 +4,9 @@
     below [T_max] — so it can briefly run hotter-than-sustainable
     ("sprint") before throttling to a thermally sustainable schedule.
     The transient analysis makes the safe burst length exact: it is the
-    {!Thermal.Matex.time_to_threshold} of the burst assignment from the
-    idle state.  The plan is
+    {!Thermal.Trace.time_to_threshold} of the burst assignment from the
+    idle state, stepped on the context's own engine ({!Eval.backend}),
+    so a sparse context never builds the dense eigenbasis.  The plan is
 
     - burst: every core at the highest mode for [burst_duration];
     - then: hand over to AO's sustainable oscillating schedule.

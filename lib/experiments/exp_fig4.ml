@@ -1,7 +1,7 @@
 type result = {
   schedule : Sched.Schedule.t;
   warmup : Thermal.Trace.sample array;
-  stable : (float * Linalg.Vec.t) array;
+  stable : Thermal.Trace.sample array;
   periods_to_stable : int;
   peak : float;
   end_of_period_peak : float;
@@ -12,27 +12,27 @@ let run ?(seed = 42) () =
     Thermal.Hotspot.core_level
       (Thermal.Floorplan.grid ~rows:2 ~cols:3 ~core_width:4e-3 ~core_height:4e-3)
   in
+  let b = Thermal.Backend.of_model model in
   let pm = Power.Power_model.default in
   let rng = Random.State.make [| seed |] in
   let schedule =
     Workload.Random_sched.step_up rng ~n_cores:6 ~period:1.0 ~max_intervals:3
       ~levels:(Power.Vf.table_iv 5)
   in
-  let profile = Sched.Peak.profile (Thermal.Backend.of_model model) pm schedule in
+  let profile = Sched.Peak.profile b pm schedule in
   let periods_to_stable = Thermal.Trace.periods_to_stable model ~tol:1e-4 profile in
   let warmup =
-    Thermal.Trace.from_ambient model
+    Thermal.Trace.from_ambient b
       ~periods:(Stdlib.min 12 (periods_to_stable + 3))
       ~samples_per_segment:16 profile
   in
-  let stable = Thermal.Matex.stable_core_trace model ~samples_per_segment:16 profile in
   {
     schedule;
     warmup;
-    stable;
+    stable = Thermal.Trace.stable_core_trace b ~samples_per_segment:16 profile;
     periods_to_stable;
-    peak = Thermal.Matex.peak_scan model ~samples_per_segment:48 profile;
-    end_of_period_peak = Thermal.Matex.end_of_period_peak model profile;
+    peak = Sched.Peak.of_any b pm ~samples_per_segment:48 schedule;
+    end_of_period_peak = Sched.Peak.of_step_up b pm schedule;
   }
 
 let print r =
@@ -56,12 +56,13 @@ let print r =
     r.warmup
 
 let to_csv ~warmup_path ~stable_path r =
-  let model_cores = Linalg.Vec.dim (snd r.stable.(0)) in
+  let model_cores = Linalg.Vec.dim r.stable.(0).Thermal.Trace.core_temps in
   let header = "time" :: List.init model_cores (Printf.sprintf "core%d") in
-  Util.Csv.write warmup_path ~header
-    (Array.to_list
-       (Array.map
-          (fun s -> s.Thermal.Trace.time :: Array.to_list s.Thermal.Trace.core_temps)
-          r.warmup));
-  Util.Csv.write stable_path ~header
-    (Array.to_list (Array.map (fun (t, temps) -> t :: Array.to_list temps) r.stable))
+  let rows samples =
+    Array.to_list
+      (Array.map
+         (fun s -> s.Thermal.Trace.time :: Array.to_list s.Thermal.Trace.core_temps)
+         samples)
+  in
+  Util.Csv.write warmup_path ~header (rows r.warmup);
+  Util.Csv.write stable_path ~header (rows r.stable)

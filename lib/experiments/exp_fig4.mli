@@ -9,7 +9,7 @@
 type result = {
   schedule : Sched.Schedule.t;
   warmup : Thermal.Trace.sample array;  (** Multi-period cold-start trace. *)
-  stable : (float * Linalg.Vec.t) array;  (** One stable period. *)
+  stable : Thermal.Trace.sample array;  (** One stable period. *)
   periods_to_stable : int;
   peak : float;
   end_of_period_peak : float;

@@ -3,11 +3,10 @@
    answer (voltage vectors, schedule state intervals), so a hit returns
    the very float a fresh evaluation would have computed — memoization
    never perturbs a search trajectory.  Insertion order is tracked in a
-   queue and the oldest entry is evicted at capacity, mirroring the
-   propagator cache's policy.  A mutex guards every table access: pool
-   workers evaluating candidates concurrently may race to compute the
-   same key, in which case both compute the (identical) value and one
-   insert wins. *)
+   queue and the oldest entry is evicted at capacity.  A mutex guards
+   every table access: pool workers evaluating candidates concurrently
+   may race to compute the same key, in which case both compute the
+   (identical) value and one insert wins. *)
 [@@@fosc.digest_sensitive]
 
 module Cache = struct
@@ -160,21 +159,6 @@ let profile (b : B.t) pm s = intervals_profile ~who:"profile" ~n_cores:b.B.n_cor
 let cached cache key compute =
   Cache.find_or_add cache (if Cache.disabled cache then "" else key ()) compute
 
-(* Stable status of a profile, streamed through the engine.  [t_p] is
-   the running sum of the fed durations — [Matex.period] of the
-   profile — so this and the fused two-mode loop below solve the same
-   fixed point for the same spans. *)
-let stable_state (b : B.t) profile =
-  b.B.stable_begin ();
-  let t_p =
-    List.fold_left
-      (fun acc (seg : Thermal.Matex.segment) ->
-        b.B.stable_feed ~duration:seg.duration ~psi:seg.psi;
-        acc +. seg.duration)
-      0. profile
-  in
-  b.B.stable_solve ~t_p
-
 let steady_constant (b : B.t) pm voltages =
   b.B.steady_peak (Power.Power_model.psi_vector_memo pm voltages)
 
@@ -185,7 +169,7 @@ let steady_constant_cached cache b pm voltages =
 
 let of_step_up (b : B.t) pm s =
   if not (Stepup.is_step_up s) then invalid_arg "Peak.of_step_up: schedule is not step-up";
-  b.B.max_core_temp (stable_state b (profile b pm s))
+  b.B.max_core_temp (B.stable_state b (profile b pm s))
 
 let of_step_up_cached cache b pm s =
   cached cache (fun () -> Cache.key_of_schedule s) (fun () -> of_step_up b pm s)
@@ -193,11 +177,11 @@ let of_step_up_cached cache b pm s =
 let of_any (b : B.t) pm ?(samples_per_segment = 32) s =
   b.B.peak_scan ~samples_per_segment (profile b pm s)
 
-let of_any_refined (b : B.t) pm ?(samples_per_segment = 32) ?(tol = 1e-4) s =
-  b.B.peak_refined ~samples_per_segment ~tol (profile b pm s)
+let of_any_refined b pm ?(samples_per_segment = 32) ?(tol = 1e-4) s =
+  Thermal.Trace.peak_refined b ~samples_per_segment ~tol (profile b pm s)
 
 let stable_end_core_temps (b : B.t) pm s =
-  b.B.core_temps (stable_state b (profile b pm s))
+  b.B.core_temps (B.stable_state b (profile b pm s))
 
 (* ------------------------------------------ fused two-mode evaluation *)
 
@@ -319,10 +303,10 @@ let[@inline] two_mode_mid ~period t0 t1 =
 
 (* Feed the decomposed spans' durations and powers to [feed], in period
    order, and return the running sum of the durations — the [t_p] every
-   solve takes (see [stable_state]).  Per-span powers are computed
-   straight from [Power_model.psi] into the scratch vector: the same
-   floats [psi_vector] would produce, without the key digest a memo
-   lookup would build. *)
+   solve takes (see [Thermal.Backend.stable_state]).  Per-span powers
+   are computed straight from [Power_model.psi] into the scratch vector:
+   the same floats [psi_vector] would produce, without the key digest a
+   memo lookup would build. *)
 let two_mode_feed s pm ~period ~low ~high kept feed =
   let n = Array.length low in
   let t_p = ref 0. in

@@ -119,7 +119,12 @@ val of_any :
 
 (** [of_any_refined b pm ?samples_per_segment ?tol s] sharpens {!of_any}
     with per-segment golden-section refinement (default [tol = 1e-4]) —
-    the most accurate evaluator, used for final verification. *)
+    the most accurate evaluator, used for final verification.  One
+    function for both engines ({!Thermal.Trace.peak_refined}): a scan
+    of exact steps from the stable status, then golden-section probes
+    that each take one exact step from the segment start.  Raises
+    [Invalid_argument] when [samples_per_segment < 1] or [tol] is not
+    positive and finite. *)
 val of_any_refined :
   Thermal.Backend.t ->
   Power.Power_model.t ->

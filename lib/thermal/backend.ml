@@ -15,7 +15,6 @@ type t = {
   stable_feed : duration:float -> psi:Linalg.Vec.t -> unit;
   stable_solve : t_p:float -> Linalg.Vec.t;
   peak_scan : samples_per_segment:int -> Matex.profile -> float;
-  peak_refined : samples_per_segment:int -> tol:float -> Matex.profile -> float;
   base_begin : t_p:float -> unit;
   base_feed :
     core:int -> psi_low:float -> psi_high:float -> high_ratio:float -> unit;
@@ -86,11 +85,7 @@ let of_model model =
     stable_feed = (fun ~duration ~psi -> Modal.stable_feed eng ~duration ~psi);
     stable_solve = (fun ~t_p -> Modal.stable_solve eng ~t_p);
     peak_scan =
-      (fun ~samples_per_segment profile ->
-        Matex.peak_scan ~engine:eng model ~samples_per_segment profile);
-    peak_refined =
-      (fun ~samples_per_segment ~tol profile ->
-        Matex.peak_refined ~engine:eng model ~samples_per_segment ~tol profile);
+      (fun ~samples_per_segment profile -> Modal.peak_scan eng ~samples_per_segment profile);
     base_begin = (fun ~t_p -> Modal.base_begin eng ~t_p);
     base_feed =
       (fun ~core ~psi_low ~psi_high ~high_ratio ->
@@ -129,9 +124,6 @@ let of_response resp =
     peak_scan =
       (fun ~samples_per_segment profile ->
         Sparse_response.peak_scan resp ~samples_per_segment profile);
-    peak_refined =
-      (fun ~samples_per_segment ~tol profile ->
-        Sparse_response.peak_refined resp ~samples_per_segment ~tol profile);
     base_begin = (fun ~t_p -> Sparse_response.base_begin resp ~t_p);
     base_feed =
       (fun ~core ~psi_low ~psi_high ~high_ratio ->
@@ -145,3 +137,17 @@ let of_response resp =
         Sparse_response.delta_core_temp resp ~at ~core ~psi_low ~psi_high
           ~high_ratio);
   }
+
+(* [t_p] is the running sum of the fed durations ([Matex.period] of the
+   profile), so every exact solve of the same spans meets the same
+   fixed point. *)
+let stable_state b profile =
+  b.stable_begin ();
+  let t_p =
+    List.fold_left
+      (fun acc (seg : Matex.segment) ->
+        b.stable_feed ~duration:seg.duration ~psi:seg.psi;
+        acc +. seg.duration)
+      0. profile
+  in
+  b.stable_solve ~t_p

@@ -1,15 +1,16 @@
 (** The thermal engine record: the one value every evaluator runs on.
 
     Policies and experiment drivers ask a small set of questions —
-    steady peaks, stable-status temperatures, scanned/refined period
-    peaks, prepared-base delta scores, exact transient steps — and must
-    not care whether the answers come from the dense modal engine
+    steady peaks, stable-status temperatures, scanned period peaks,
+    prepared-base delta scores, exact transient steps — and must not
+    care whether the answers come from the dense modal engine
     ({!Modal}, O(n³) build, exact eigenbasis) or the sparse
     superposition engine ({!Sparse_response} over {!Sparse_model},
     O(nnz) build, CG + Lanczos solves).  A backend is a record of
-    closures over one of those engines; {!Sched.Peak} writes each
-    evaluator once over it, {!Core.Eval} holds one per context, and the
-    closed-loop runtime steps and corrects its states.
+    closures over one of those engines; {!Sched.Peak} writes each peak
+    evaluator once over it, {!Trace} each trajectory, {!Core.Eval} holds
+    one per context, and the closed-loop runtime steps and corrects its
+    states.
 
     States are opaque to callers: modal coordinates for the dense
     backend, symmetrized node coordinates for the sparse one.  Obtain
@@ -61,9 +62,10 @@ type t = {
           The result may be per-domain scratch, valid until the next
           streaming evaluation on this domain. *)
   peak_scan : samples_per_segment:int -> Matex.profile -> float;
-      (** Dense scan of the stable-status period. *)
-  peak_refined : samples_per_segment:int -> tol:float -> Matex.profile -> float;
-      (** Scan plus golden-section refinement. *)
+      (** Dense scan of the stable-status period, streamed through the
+          engine's own scratch (the PCO / [Sched.Peak.of_any] hot
+          path).  Raises [Invalid_argument] on an empty profile or
+          [samples_per_segment < 1]. *)
   base_begin : t_p:float -> unit;
       (** Start preparing an aligned two-mode base config with period
           [t_p] on this domain (DESIGN.md §14).  The prepared base is
@@ -100,3 +102,12 @@ val of_model : Model.t -> t
     unit solves when [resp] is built; for a one-shot evaluation call
     {!Sparse_model} directly. *)
 val of_response : Sparse_response.t -> t
+
+(** [stable_state b profile] is the periodic stable status at the period
+    boundary of [profile]: its segments fed in order through
+    {!field:stable_begin}/{!field:stable_feed}, solved with [t_p] = the
+    running sum of their durations (the [t_p] rule of
+    {!field:stable_solve}).  Like {!field:stable_solve} the result may
+    be per-domain scratch: copy it before the next streaming evaluation
+    on this domain. *)
+val stable_state : t -> Matex.profile -> Linalg.Vec.t

@@ -6,17 +6,20 @@ type profile = segment list
 
 let period profile = List.fold_left (fun acc s -> acc +. s.duration) 0. profile
 
-let validate model profile =
-  if profile = [] then invalid_arg "Matex: empty profile";
+let validate_cores ~n_cores profile =
+  if List.is_empty profile then invalid_arg "Matex: empty profile";
   List.iteri
     (fun q s ->
-      if s.duration <= 0. then
-        invalid_arg (Printf.sprintf "Matex: segment %d has non-positive duration" q);
-      if Vec.dim s.psi <> Model.n_cores model then
+      if not (s.duration > 0. && Float.is_finite s.duration) then
+        invalid_arg
+          (Printf.sprintf "Matex: segment %d has a non-positive or non-finite duration" q);
+      if Vec.dim s.psi <> n_cores then
         invalid_arg
           (Printf.sprintf "Matex: segment %d power vector has arity %d, expected %d" q
-             (Vec.dim s.psi) (Model.n_cores model)))
+             (Vec.dim s.psi) n_cores))
     profile
+
+let validate model profile = validate_cores ~n_cores:(Model.n_cores model) profile
 
 let simulate model ~theta0 profile =
   validate model profile;
@@ -26,129 +29,6 @@ let simulate model ~theta0 profile =
       states.(q + 1) <- Model.step model ~dt:s.duration ~theta:states.(q) ~psi:s.psi)
     profile;
   states
-
-(* ---------------------------------------------------- modal hot path *)
-
-(* Everything below runs in modal coordinates on the per-model cached
-   response engine: equilibria by unit-response superposition (zero LU
-   solves per candidate), decay factors from the engine's per-duration
-   table, and O(n) element-wise work per sample.  Model.step stays the
-   reference implementation (see {!Reference}). *)
-
-(* Resolve the engine: callers that already hold the platform's cached
-   engine (Core.Eval) pass it straight through; a mismatched engine is a
-   caller bug, not something to paper over silently. *)
-let engine_for ?engine model =
-  match engine with
-  | Some e ->
-      if Modal.model e != model then
-        invalid_arg "Matex: engine belongs to a different model";
-      e
-  | None -> Modal.make model
-
-let segments_of eng profile =
-  List.map (fun s -> Modal.segment eng ~duration:s.duration ~psi:s.psi) profile
-
-(* Modal stable status and per-boundary modal states (first and last are
-   the period boundary, like the theta-space version). *)
-let stable_z_boundaries eng segs =
-  let n = List.length segs in
-  let zs = Array.make (n + 1) (Modal.stable_z eng segs) in
-  List.iteri (fun q s -> zs.(q + 1) <- Modal.advance s zs.(q)) segs;
-  zs
-
-let stable_start model profile =
-  validate model profile;
-  let eng = Modal.make model in
-  Modal.of_modal eng (Modal.stable_z eng (segments_of eng profile))
-
-let stable_boundaries model profile =
-  validate model profile;
-  let eng = Modal.make model in
-  let zs = stable_z_boundaries eng (segments_of eng profile) in
-  Array.map (Modal.of_modal eng) zs
-
-(* Streaming stable status: fold the profile into the engine's
-   per-domain scratch — no segment list, no per-segment allocation, no
-   LU.  Numerically identical to [Modal.stable_z] over fresh segments
-   (same fold order, same expm1 denominators). *)
-let stable_z_streamed eng profile =
-  Modal.stable_begin eng;
-  let t_p =
-    List.fold_left
-      (fun acc s ->
-        Modal.stable_feed eng ~duration:s.duration ~psi:s.psi;
-        acc +. s.duration)
-      0. profile
-  in
-  Modal.stable_solve eng ~t_p
-
-let stable_core_temps model profile =
-  validate model profile;
-  let eng = Modal.make model in
-  Modal.core_temps eng (stable_z_streamed eng profile)
-
-let peak_at_boundaries model profile =
-  validate model profile;
-  let eng = Modal.make model in
-  let zs = stable_z_boundaries eng (segments_of eng profile) in
-  Array.fold_left
-    (fun acc z -> Float.max acc (Modal.max_core_temp eng z))
-    neg_infinity zs
-
-let end_of_period_peak model profile =
-  validate model profile;
-  let eng = Modal.make model in
-  Modal.max_core_temp eng (stable_z_streamed eng profile)
-
-(* Visit the [samples] interior/end states of [seg] starting from modal
-   state [z]; returns the exact end-of-segment state (advanced in one
-   step, so boundary states do not accumulate sub-step rounding). *)
-let scan_segment_z seg ~samples z visit =
-  let sub = Modal.split seg samples in
-  let dt = Modal.duration sub in
-  let zc = ref z in
-  for k = 1 to samples do
-    zc := Modal.advance sub !zc;
-    visit (float_of_int k *. dt) !zc
-  done;
-  Modal.advance seg z
-
-let peak_scan ?engine model ?(samples_per_segment = 32) profile =
-  validate model profile;
-  let eng = engine_for ?engine model in
-  (* Fully streamed: stable status, then a per-segment sub-step walk, all
-     in the engine's per-domain scratch — no segment list, no per-sample
-     state allocation.  Bit-identical to scanning freshly built segments
-     (same stable start, same sub-step update, same exact boundary
-     advance). *)
-  let z = stable_z_streamed eng profile in
-  let best = ref (Modal.max_core_temp eng z) in
-  Modal.scan_begin eng;
-  List.iter
-    (fun s ->
-      best :=
-        Float.max !best
-          (Modal.scan_feed eng ~samples:samples_per_segment ~duration:s.duration
-             ~psi:s.psi))
-    profile;
-  !best
-
-let stable_core_trace model ~samples_per_segment profile =
-  validate model profile;
-  let eng = Modal.make model in
-  let segs = segments_of eng profile in
-  let z = ref (Modal.stable_z eng segs) in
-  let samples = ref [ (0., Modal.core_temps eng !z) ] in
-  let t_start = ref 0. in
-  List.iter
-    (fun seg ->
-      z :=
-        scan_segment_z seg ~samples:samples_per_segment !z (fun dt zc ->
-            samples := (!t_start +. dt, Modal.core_temps eng zc) :: !samples);
-      t_start := !t_start +. Modal.duration seg)
-    segs;
-  Array.of_list (List.rev !samples)
 
 let golden = (sqrt 5. -. 1.) /. 2.
 
@@ -179,191 +59,75 @@ let golden_max f a b tol =
   let x2 = a +. (golden *. (b -. a)) in
   go a b x1 x2 (f x1) (f x2)
 
-let peak_refined ?engine model ?(samples_per_segment = 32) ?(tol = 1e-4) profile =
+(* The oracle evaluators: plain theta-space algebra on Model.step /
+   Model.propagator, which every engine is tested against. *)
+
+let stable_start model profile =
   validate model profile;
-  let eng = engine_for ?engine model in
-  let segs = segments_of eng profile in
-  let z = ref (Modal.stable_z eng segs) in
-  let best = ref (Modal.max_core_temp eng !z) in
+  let n = Model.n_nodes model in
+  (* One period from the zero state gives theta(t_p) = K*0 + d = d, and
+     K is the ordered product of segment propagators. *)
+  let d = ref (Vec.zeros n) in
+  let k = ref (Mat.identity n) in
   List.iter
-    (fun seg ->
-      let z0 = !z in
-      (* Dense scan of this segment, remembering the hottest sample. *)
-      let duration = Modal.duration seg in
-      let dt = duration /. float_of_int samples_per_segment in
-      let best_k = ref 0 and best_here = ref (Modal.max_core_temp eng z0) in
-      z :=
-        scan_segment_z seg ~samples:samples_per_segment z0 (fun t zc ->
-            let temp = Modal.max_core_temp eng zc in
-            if temp > !best_here then begin
-              best_here := temp;
-              best_k := int_of_float (Float.round (t /. dt))
-            end);
-      best := Float.max !best !best_here;
-      (* Refine inside the bracketing interval around the best sample;
-         each probe is an O(n) modal evaluation, so golden-section probes
-         at fresh times cost no propagator builds. *)
-      let lo = Float.max 0. ((float_of_int !best_k -. 1.) *. dt) in
-      let hi = Float.min duration ((float_of_int !best_k +. 1.) *. dt) in
-      if hi > lo then begin
-        let temp_at t = Modal.max_core_temp eng (Modal.at seg ~t_rel:t z0) in
-        best := Float.max !best (golden_max temp_at lo hi (tol *. duration))
-      end)
-    segs;
+    (fun s ->
+      let p = Model.propagator model s.duration in
+      d := Model.step model ~dt:s.duration ~theta:!d ~psi:s.psi;
+      k := Mat.matmul p !k)
+    profile;
+  (* Stable status: theta* = K theta* + d. *)
+  let i_minus_k = Mat.sub (Mat.identity n) !k in
+  Linalg.Lu.solve i_minus_k !d
+
+let stable_boundaries model profile =
+  let theta0 = stable_start model profile in
+  simulate model ~theta0 profile
+
+let scan_segment model ~samples theta s visit =
+  if samples < 1 then invalid_arg "Matex: non-positive sample count";
+  let dt = s.duration /. float_of_int samples in
+  let theta = ref theta in
+  for k = 1 to samples do
+    theta := Model.step model ~dt ~theta:!theta ~psi:s.psi;
+    visit (float_of_int k *. dt) !theta
+  done
+
+let peak_scan model ?(samples_per_segment = 32) profile =
+  let boundaries = stable_boundaries model profile in
+  let best = ref (Model.max_core_temp model boundaries.(0)) in
+  List.iteri
+    (fun q s ->
+      scan_segment model ~samples:samples_per_segment boundaries.(q) s (fun _ theta ->
+          best := Float.max !best (Model.max_core_temp model theta)))
+    profile;
   !best
 
-let time_to_threshold model ?theta0 ?(max_periods = 1000) ?(samples_per_segment = 32)
-    ~threshold profile =
-  validate model profile;
-  let eng = Modal.make model in
-  let z0 =
-    match theta0 with
-    | Some t -> Modal.to_modal eng t
-    | None -> Modal.ambient_state eng
-  in
-  let hot z = Modal.max_core_temp eng z in
-  if hot z0 >= threshold then Some 0.
-  else begin
-    let segs = segments_of eng profile in
-    (* Bisect the crossing inside [t_lo, t_hi] from the segment-start
-       modal state [base]. *)
-    let refine seg base t_lo t_hi =
-      let rec go t_lo t_hi iters =
-        if iters = 0 || t_hi -. t_lo < 1e-9 *. Float.max 1e-3 t_hi then t_hi
-        else
-          let mid = (t_lo +. t_hi) /. 2. in
-          if hot (Modal.at seg ~t_rel:mid base) >= threshold then
-            go t_lo mid (iters - 1)
-          else go mid t_hi (iters - 1)
-      in
-      go t_lo t_hi 50
-    in
-    let exception Crossed of float in
-    try
-      let z = ref z0 in
-      let elapsed = ref 0. in
-      for _ = 1 to max_periods do
-        List.iter
-          (fun seg ->
-            let base = !z in
-            let crossing = ref None in
-            (* Scan this segment for the first sample above threshold. *)
-            (try
-               let prev_t = ref 0. in
-               ignore
-                 (scan_segment_z seg ~samples:samples_per_segment base
-                    (fun t zc ->
-                      if !crossing = None && hot zc >= threshold then begin
-                        crossing := Some (refine seg base !prev_t t);
-                        raise Exit
-                      end;
-                      prev_t := t))
-             with Exit -> ());
-            (match !crossing with
-            | Some t -> raise (Crossed (!elapsed +. t))
-            | None -> ());
-            z := Modal.advance seg base;
-            elapsed := !elapsed +. Modal.duration seg)
-          segs
-      done;
-      None
-    with Crossed t -> Some t
-  end
-
-let mission_peak model ?theta0 ?(samples_per_segment = 32) profile =
-  validate model profile;
-  let eng = Modal.make model in
-  let z0 =
-    match theta0 with
-    | Some t -> Modal.to_modal eng t
-    | None -> Modal.ambient_state eng
-  in
-  let best = ref (Modal.max_core_temp eng z0) in
-  let z = ref z0 in
-  List.iter
-    (fun seg ->
-      z :=
-        scan_segment_z seg ~samples:samples_per_segment !z (fun _ zc ->
-            best := Float.max !best (Modal.max_core_temp eng zc)))
-    (segments_of eng profile);
-  (!best, Modal.of_modal eng !z)
-
-(* ------------------------------------------------------ reference path *)
-
-(* The pre-modal implementations, kept verbatim on Model.step /
-   Model.propagator for differential testing (test/test_modal.ml asserts
-   the two paths agree to <= 1e-9). *)
-module Reference = struct
-  let stable_start model profile =
-    validate model profile;
-    let n = Model.n_nodes model in
-    (* One period from the zero state gives theta(t_p) = K*0 + d = d, and
-       K is the ordered product of segment propagators. *)
-    let d = ref (Vec.zeros n) in
-    let k = ref (Mat.identity n) in
-    List.iter
-      (fun s ->
-        let p = Model.propagator model s.duration in
-        d := Model.step model ~dt:s.duration ~theta:!d ~psi:s.psi;
-        k := Mat.matmul p !k)
-      profile;
-    (* Stable status: theta* = K theta* + d. *)
-    let i_minus_k = Mat.sub (Mat.identity n) !k in
-    Linalg.Lu.solve i_minus_k !d
-
-  let stable_boundaries model profile =
-    let theta0 = stable_start model profile in
-    simulate model ~theta0 profile
-
-  let scan_segment model ~samples theta s visit =
-    let dt = s.duration /. float_of_int samples in
-    let theta = ref theta in
-    for k = 1 to samples do
-      theta := Model.step model ~dt ~theta:!theta ~psi:s.psi;
-      visit (float_of_int k *. dt) !theta
-    done;
-    !theta
-
-  let peak_scan model ?(samples_per_segment = 32) profile =
-    let boundaries = stable_boundaries model profile in
-    let best = ref (Model.max_core_temp model boundaries.(0)) in
-    List.iteri
-      (fun q s ->
-        ignore
-          (scan_segment model ~samples:samples_per_segment boundaries.(q) s
-             (fun _ theta ->
-               best := Float.max !best (Model.max_core_temp model theta))))
-      profile;
-    !best
-
-  let peak_refined model ?(samples_per_segment = 32) ?(tol = 1e-4) profile =
-    let boundaries = stable_boundaries model profile in
-    let best = ref (Model.max_core_temp model boundaries.(0)) in
-    List.iteri
-      (fun q s ->
-        (* Dense scan of this segment, remembering the hottest sample. *)
-        let dt = s.duration /. float_of_int samples_per_segment in
-        let best_k = ref 0
-        and best_here = ref (Model.max_core_temp model boundaries.(q)) in
-        ignore
-          (scan_segment model ~samples:samples_per_segment boundaries.(q) s
-             (fun t theta ->
-               let temp = Model.max_core_temp model theta in
-               if temp > !best_here then begin
-                 best_here := temp;
-                 best_k := int_of_float (Float.round (t /. dt))
-               end));
-        best := Float.max !best !best_here;
-        (* Refine inside the bracketing interval around the best sample. *)
-        let lo = Float.max 0. ((float_of_int !best_k -. 1.) *. dt) in
-        let hi = Float.min s.duration ((float_of_int !best_k +. 1.) *. dt) in
-        if hi > lo then begin
-          let temp_at t =
-            Model.max_core_temp model
-              (Model.step model ~dt:t ~theta:boundaries.(q) ~psi:s.psi)
-          in
-          best := Float.max !best (golden_max temp_at lo hi (tol *. s.duration))
-        end)
-      profile;
-    !best
-end
+let peak_refined model ?(samples_per_segment = 32) ?(tol = 1e-4) profile =
+  if not (tol > 0. && Float.is_finite tol) then
+    invalid_arg "Matex.peak_refined: tolerance must be positive and finite";
+  let boundaries = stable_boundaries model profile in
+  let best = ref (Model.max_core_temp model boundaries.(0)) in
+  List.iteri
+    (fun q s ->
+      (* Dense scan of this segment, remembering the hottest sample. *)
+      let dt = s.duration /. float_of_int samples_per_segment in
+      let best_k = ref 0 and best_here = ref (Model.max_core_temp model boundaries.(q)) in
+      scan_segment model ~samples:samples_per_segment boundaries.(q) s (fun t theta ->
+          let temp = Model.max_core_temp model theta in
+          if temp > !best_here then begin
+            best_here := temp;
+            best_k := int_of_float (Float.round (t /. dt))
+          end);
+      best := Float.max !best !best_here;
+      (* Refine inside the bracketing interval around the best sample. *)
+      let lo = Float.max 0. ((float_of_int !best_k -. 1.) *. dt) in
+      let hi = Float.min s.duration ((float_of_int !best_k +. 1.) *. dt) in
+      if hi > lo then begin
+        let temp_at t =
+          Model.max_core_temp model
+            (Model.step model ~dt:t ~theta:boundaries.(q) ~psi:s.psi)
+        in
+        best := Float.max !best (golden_max temp_at lo hi (tol *. s.duration))
+      end)
+    profile;
+  !best

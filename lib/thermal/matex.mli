@@ -1,23 +1,21 @@
-(** Analytic transient and periodic-steady-state analysis for piecewise-
-    constant power profiles (the MatEx method, reference [28] of the
-    paper).
+(** Piecewise-constant power profiles and the exact theta-space analysis
+    of their periodic stable status (the MatEx method, reference [28] of
+    the paper).
 
     A {!profile} is one period of a periodic power schedule: a sequence of
     segments, each holding a duration and the per-core power vector
     [psi].  Within a segment the system is LTI, so Eq. (3) steps it
-    exactly; across a period, the stable status of Eq. (4) is obtained by
-    solving [(I - K) theta* = theta_one_period] where [K = e^{A t_p}] is
-    the product of the segment propagators.
+    exactly ({!Model.step}); across a period, the stable status of
+    Eq. (4) is obtained by solving [(I - K) theta* = theta_one_period]
+    where [K = e^{A t_p}] is the product of the segment propagators.
 
-    Every evaluator here runs on the per-model cached {!Modal} response
-    engine: equilibria come from unit-response superposition (zero LU
-    solves per profile), decay factors from the engine's per-duration
-    table, each sample is O(n) element-wise work, and the [(I - K)^{-1}]
-    solve is a per-mode division.  The step-up evaluators
-    ({!end_of_period_peak}, {!stable_core_temps}) additionally stream
-    through per-domain scratch buffers, so a candidate evaluation
-    allocates nothing.  The pre-modal implementations survive in
-    {!Reference} for differential testing. *)
+    The evaluators here are the plain theta-space algebra — a fresh
+    propagator and LU solve per step, no engine, no tables.  They are
+    the dense oracle the evaluation engines behind {!Backend.t} are
+    tested against (with {!Sparse_model} as the sparse one), and the
+    exact path {!Sched.Energy} integrates over.  Production peak and
+    trajectory questions go through a {!Backend.t}: {!Sched.Peak} for
+    peaks, {!Trace} for trajectories. *)
 
 type segment = { duration : float; psi : Linalg.Vec.t }
 
@@ -28,8 +26,13 @@ type profile = segment list
 (** [period profile] is the sum of segment durations. *)
 val period : profile -> float
 
-(** [validate model profile] raises [Invalid_argument] on empty profiles,
-    non-positive durations or power vectors of the wrong arity. *)
+(** [validate_cores ~n_cores profile] raises [Invalid_argument] on empty
+    profiles, non-positive or non-finite durations or power vectors
+    without [n_cores] entries — the profile check every engine runs. *)
+val validate_cores : n_cores:int -> profile -> unit
+
+(** [validate model profile] is {!validate_cores} for [model]'s core
+    count. *)
 val validate : Model.t -> profile -> unit
 
 (** [simulate model ~theta0 profile] integrates one period exactly from
@@ -37,107 +40,36 @@ val validate : Model.t -> profile -> unit
     [theta0] first, final state last ([length profile + 1] entries). *)
 val simulate : Model.t -> theta0:Linalg.Vec.t -> profile -> Linalg.Vec.t array
 
-(** [stable_start model profile] is the ambient-relative state at the
-    period boundary once the repetition has converged to the thermal
-    stable status. *)
-val stable_start : Model.t -> profile -> Linalg.Vec.t
-
-(** [stable_boundaries model profile] are the stable-status states at all
-    segment boundaries, starting and ending with the period boundary
-    state (first and last entries are equal). *)
-val stable_boundaries : Model.t -> profile -> Linalg.Vec.t array
-
-(** [stable_core_temps model profile] are the absolute per-core
-    temperatures at the stable-status period boundary — like
-    [Model.core_temps_of_theta] of {!stable_start}, but streamed through
-    the response engine's scratch buffers: superposed equilibria, table
-    decay factors, and only the modal core rows applied at the end. *)
-val stable_core_temps : Model.t -> profile -> Linalg.Vec.t
-
-(** [peak_at_boundaries model profile] is the hottest absolute core
-    temperature over the stable-status segment boundaries.  For a step-up
-    profile this equals the true peak (Theorem 1). *)
-val peak_at_boundaries : Model.t -> profile -> float
-
-(** [peak_scan model ?samples_per_segment profile] scans the stable-status
-    period densely ([samples_per_segment] exact sub-steps inside every
-    segment, default 32) and returns the hottest absolute core
-    temperature found.  This is the safe evaluator for profiles that are
-    not step-up, where the peak may fall strictly inside a segment.
-    Raises [Invalid_argument] when [samples_per_segment < 1]. *)
-val peak_scan : ?engine:Modal.t -> Model.t -> ?samples_per_segment:int -> profile -> float
-
-(** [end_of_period_peak model profile] is the hottest absolute core
-    temperature at the stable-status period boundary — the quantity
-    Theorem 1 says bounds a step-up schedule.  The candidate-evaluation
-    hot path: one streamed superposition pass, zero LU solves, zero
-    allocation beyond the per-domain scratch. *)
-val end_of_period_peak : Model.t -> profile -> float
-
-(** [stable_core_trace model ~samples_per_segment profile] samples the
-    stable-status period densely and returns [(time, absolute core
-    temperatures)] pairs covering one period, boundaries included. *)
-val stable_core_trace :
-  Model.t -> samples_per_segment:int -> profile -> (float * Linalg.Vec.t) array
-
-(** [peak_refined model ?samples_per_segment ?tol profile] sharpens
-    {!peak_scan}: after the dense scan it golden-section-maximizes the
-    hottest-core temperature inside the bracketing sub-interval of every
-    segment's best sample, to time resolution [tol * duration] (default
-    [tol = 1e-4]).  Guaranteed [>= peak_scan] up to the same sampling;
-    used where an exact interior peak matters (PCO verification,
-    theorem-tolerance measurements).  Raises [Invalid_argument] when
-    [samples_per_segment < 1] or [tol] is not positive and finite. *)
-val peak_refined :
-  ?engine:Modal.t -> Model.t -> ?samples_per_segment:int -> ?tol:float -> profile -> float
-
 (** [golden_max f a b tol] maximizes [f] over [[a, b]] by golden-section
     search down to a bracket narrower than [tol] — the refinement every
-    engine's [peak_refined] runs, so all of them probe the same
+    refined peak evaluator runs, so all of them probe the same
     abscissae.  If [f] is not unimodal on the bracket the result is
     still a lower bound on its maximum.  Raises [Invalid_argument] when
     [tol] is not positive and finite (the search would never stop). *)
 val golden_max : (float -> float) -> float -> float -> float -> float
 
-(** [time_to_threshold model ?theta0 ?max_periods ?samples_per_segment
-    ~threshold profile] repeats [profile] from state [theta0] (default:
-    ambient) and returns the first time the hottest core reaches
-    [threshold] (bisected inside the bracketing sub-interval to
-    microsecond-level accuracy), or [None] when it never does within
-    [max_periods] repetitions (default 1000) — e.g. because the stable
-    status stays below the threshold.  This answers the reactive-DTM
-    question: how long after an aggressive schedule starts does the chip
-    have before an emergency? *)
-val time_to_threshold :
-  Model.t ->
-  ?theta0:Linalg.Vec.t ->
-  ?max_periods:int ->
-  ?samples_per_segment:int ->
-  threshold:float ->
-  profile ->
-  float option
+(** [stable_start model profile] is the ambient-relative state at the
+    period boundary once the repetition has converged to the thermal
+    stable status: [(I - K)^{-1} d] by one dense LU solve. *)
+val stable_start : Model.t -> profile -> Linalg.Vec.t
 
-(** [mission_peak model ?theta0 ?samples_per_segment segments] is the
-    hottest core temperature over a ONE-SHOT (non-repeating) sequence of
-    power segments starting from [theta0] (default: ambient) — mission-
-    profile analysis, e.g. boot + burst + settle.  Unlike {!peak_scan}
-    there is no stable-status solve; the trajectory is simulated once
-    with dense sampling.  Returns the peak and the final state. *)
-val mission_peak :
-  Model.t ->
-  ?theta0:Linalg.Vec.t ->
-  ?samples_per_segment:int ->
-  profile ->
-  float * Linalg.Vec.t
+(** [stable_boundaries model profile] are the stable-status states at all
+    segment boundaries, starting and ending with the period boundary
+    state (first and last entries are equal up to rounding). *)
+val stable_boundaries : Model.t -> profile -> Linalg.Vec.t array
 
-(** Pre-modal implementations on {!Model.step} / {!Model.propagator},
-    kept verbatim as the reference path.  [test/test_modal.ml] asserts
-    the modal evaluators above agree with these to [<= 1e-9]; they are
-    not meant for production use. *)
-module Reference : sig
-  val stable_start : Model.t -> profile -> Linalg.Vec.t
-  val stable_boundaries : Model.t -> profile -> Linalg.Vec.t array
-  val peak_scan : Model.t -> ?samples_per_segment:int -> profile -> float
-  val peak_refined :
-    Model.t -> ?samples_per_segment:int -> ?tol:float -> profile -> float
-end
+(** [peak_scan model ?samples_per_segment profile] scans the stable-status
+    period densely ([samples_per_segment] exact sub-steps inside every
+    segment, default 32) and returns the hottest absolute core
+    temperature found.  Raises [Invalid_argument] when
+    [samples_per_segment < 1]. *)
+val peak_scan : Model.t -> ?samples_per_segment:int -> profile -> float
+
+(** [peak_refined model ?samples_per_segment ?tol profile] sharpens
+    {!peak_scan}: after the dense scan it golden-section-maximizes the
+    hottest-core temperature inside the bracketing sub-interval of every
+    segment's best sample, to time resolution [tol * duration] (default
+    [tol = 1e-4]).  Raises [Invalid_argument] when
+    [samples_per_segment < 1] or [tol] is not positive and finite. *)
+val peak_refined :
+  Model.t -> ?samples_per_segment:int -> ?tol:float -> profile -> float

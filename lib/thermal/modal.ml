@@ -238,12 +238,6 @@ let steady_peak t psi =
 
 (* --------------------------------------------------- decay/gain table *)
 
-let compute_decay_gain t dt =
-  ( Array.map (fun l -> exp (l *. dt)) t.lambda,
-    Array.map (fun l -> -.Float.expm1 (l *. dt)) t.lambda )
-
-let decay_gain = compute_decay_gain
-
 (* Fibonacci-style multiplicative hash of a duration's bit pattern into
    a direct-mapped slot.  The low mantissa bits of nearby durations are
    the ones that differ, so the multiply spreads them across the high
@@ -328,9 +322,11 @@ let max_core_temp t z =
 (* --------------------------------------- streaming stable-status peak *)
 
 (* The candidate-evaluation hot path: fold a periodic profile's segments
-   through the per-domain scratch, then solve the per-mode fixed point.
-   Equivalent to [stable_z] over freshly built segments, but with zero
-   allocation, zero LU solves and table-amortized exponentials. *)
+   through the per-domain scratch, then solve the per-mode fixed point
+   z*_j = d_j / (1 - e^{lambda_j t_p}) — K = prod e^{A dt_q} is
+   diagonal in modal space, so the (I - K)^{-1} solve is a per-mode
+   division.  Zero allocation, zero LU solves, table-amortized
+   exponentials. *)
 
 let stable_begin t =
   let s = Domain.DLS.get t.scratch_key in
@@ -376,15 +372,13 @@ let stable_solve t ~t_p =
 
 (* ------------------------------------------- streaming dense scan *)
 
-(* Allocation-free counterpart of the segment-list peak scan: after
-   [stable_solve], [scan_begin] seats the cursor on the stable start and
-   each [scan_feed] walks one segment in [samples] equal sub-steps
-   (identical update to [advance] on a [split] segment: z <- decay z +
-   gain z_eq), returning the hottest core temperature among the visited
-   states.  The cursor itself advances by the segment's full duration in
-   ONE exact step from the segment start, so boundary states accumulate
-   no sub-step rounding — exactly like the allocating scan it replaces,
-   whose results it reproduces bit-for-bit. *)
+(* Allocation-free dense scan: after [stable_solve], [scan_begin] seats
+   the cursor on the stable start and each [scan_feed] walks one segment
+   in [samples] equal sub-steps (z <- decay z + gain z_eq), returning
+   the hottest core temperature among the visited states.  The cursor
+   itself advances by the segment's full duration in ONE exact step
+   from the segment start, so boundary states accumulate no sub-step
+   rounding. *)
 
 let scan_begin t =
   let s = Domain.DLS.get t.scratch_key in
@@ -425,6 +419,30 @@ let scan_feed t ~samples ~duration ~psi =
       +. Array.unsafe_get s.dvals (full_base + t.n + j) *. Array.unsafe_get s.z_eq j)
   done;
   !best +. t.ambient
+
+(* The whole scan, streamed: stable status, then the per-segment
+   sub-step walk, all in this domain's scratch — no per-sample
+   allocation.  [t_p] is the running sum of the fed durations, like
+   every exact stable solve (see {!Sched.Peak}). *)
+let peak_scan t ~samples_per_segment (profile : Matex.profile) =
+  Matex.validate_cores ~n_cores:(Array.length t.unit_rz) profile;
+  stable_begin t;
+  let t_p =
+    List.fold_left
+      (fun acc (s : Matex.segment) ->
+        stable_feed t ~duration:s.duration ~psi:s.psi;
+        acc +. s.duration)
+      0. profile
+  in
+  let best = ref (max_core_temp t (stable_solve t ~t_p)) in
+  scan_begin t;
+  List.iter
+    (fun (s : Matex.segment) ->
+      best :=
+        Float.max !best
+          (scan_feed t ~samples:samples_per_segment ~duration:s.duration ~psi:s.psi))
+    profile;
+  !best
 
 (* ------------------------------------------- prepared-base deltas *)
 
@@ -646,59 +664,3 @@ let delta_core_temp t ~at ~core ~psi_low ~psi_high ~high_ratio =
     acc := !acc +. (Array.unsafe_get data (off + j) *. Array.unsafe_get s.z_cand j)
   done;
   !acc +. t.ambient
-
-(* --------------------------------------------------------- segments *)
-
-type segment = {
-  duration : float;
-  decay : Vec.t; (* e^{lambda_j * duration}; shared, read-only *)
-  gain : Vec.t; (* 1 - decay, via expm1 for accuracy at slow modes *)
-  z_eq : Vec.t; (* modal equilibrium of this segment's psi *)
-  lambda : Vec.t;
-}
-
-let segment (t : t) ~duration ~psi =
-  if duration <= 0. then invalid_arg "Modal.segment: non-positive duration";
-  (* Computed fresh: the vectors escape into the segment record, and the
-     dense-scan paths that build segments are not the candidate hot
-     loop. *)
-  let decay, gain = compute_decay_gain t duration in
-  Atomic.incr t.exp_misses;
-  { duration; decay; gain; z_eq = z_inf t psi; lambda = t.lambda }
-
-let duration s = s.duration
-
-let split s k =
-  if k < 1 then invalid_arg "Modal.split: non-positive sample count";
-  let dt = s.duration /. float_of_int k in
-  {
-    s with
-    duration = dt;
-    decay = Array.map (fun l -> exp (l *. dt)) s.lambda;
-    gain = Array.map (fun l -> -.Float.expm1 (l *. dt)) s.lambda;
-  }
-
-let advance s z =
-  Array.init (Vec.dim z) (fun j ->
-      (s.decay.(j) *. z.(j)) +. (s.gain.(j) *. s.z_eq.(j)))
-
-let at s ~t_rel z =
-  Array.init (Vec.dim z) (fun j ->
-      s.z_eq.(j) +. (exp (s.lambda.(j) *. t_rel) *. (z.(j) -. s.z_eq.(j))))
-
-let stable_z (t : t) segs =
-  if List.is_empty segs then invalid_arg "Modal.stable_z: empty segment list";
-  (* One period from the zero state: z(t_p) = K z0 + d with diagonal
-     K = prod e^{lambda dt_q}; from z0 = 0 the iteration below leaves d. *)
-  let d = Vec.zeros t.n in
-  let t_p = List.fold_left (fun acc s -> acc +. s.duration) 0. segs in
-  List.iter
-    (fun s ->
-      for j = 0 to t.n - 1 do
-        d.(j) <- (s.decay.(j) *. d.(j)) +. (s.gain.(j) *. s.z_eq.(j))
-      done)
-    segs;
-  (* Stable status per mode: z* = d / (1 - e^{lambda t_p}); the
-     denominator comes from expm1 so slow modes (lambda t_p ~ 0) keep
-     full precision where the dense (I - K) solve loses it. *)
-  Array.init t.n (fun j -> d.(j) /. -.Float.expm1 (t.lambda.(j) *. t_p))

@@ -1,5 +1,6 @@
-(** Modal (eigenbasis) thermal evaluation engine — the hot path behind
-    {!Matex}, {!Sched.Peak} and the [Runtime.Loop] plant simulation.
+(** Modal (eigenbasis) thermal evaluation engine — the dense engine
+    behind {!Backend.of_model}, and so behind {!Sched.Peak}, {!Trace} and
+    the [Runtime.Loop] plant simulation.
 
     {!Model.t} diagonalizes [A = W diag(lambda) W^{-1}] with real
     negative [lambda] on first modal use ({!make} is that use, paid once
@@ -30,8 +31,8 @@
     {!make} caches one engine per model (physical identity), so repeated
     evaluations on one platform share the tables; engines are safe to
     share across domains ({!Domain.DLS} scratch, mutex-guarded tables).
-    {!Model.step} remains the reference implementation — the property
-    tests diff the two paths to <= 1e-9. *)
+    The theta-space {!Model.step} and {!Matex} evaluators are the
+    oracle — the property tests diff the two paths to <= 1e-9. *)
 
 type t
 (** A modal evaluation engine bound to a {!Model.t}.  Immutable eigendata
@@ -97,15 +98,8 @@ val z_inf_into : t -> Linalg.Vec.t -> Linalg.Vec.t -> unit
     response table — O(n_cores^2), allocation-free. *)
 val steady_peak : t -> Linalg.Vec.t -> float
 
-(** [decay_gain t dt] is the [(e^{lambda dt}, -expm1(lambda dt))] pair
-    for [dt], computed fresh.  The streaming evaluators amortize these
-    through a per-domain direct-mapped table instead; this entry point
-    is for callers that keep the vectors. *)
-val decay_gain : t -> float -> Linalg.Vec.t * Linalg.Vec.t
-
 (** [step t ~dt ~z ~psi] advances a modal state by [dt] under constant
-    powers [psi] — the O(n) counterpart of {!Model.step}.  Prefer
-    {!segment}/{!advance} when the same [(dt, psi)] recurs. *)
+    powers [psi] — the O(n) counterpart of {!Model.step}. *)
 val step : t -> dt:float -> z:Linalg.Vec.t -> psi:Linalg.Vec.t -> Linalg.Vec.t
 
 (** [step_into t ~dt ~z ~psi ~dst] writes {!step}'s result into [dst]
@@ -131,10 +125,11 @@ val max_core_temp : t -> Linalg.Vec.t -> float
 
     The candidate-evaluation hot path: fold a periodic profile through
     {!stable_begin} / {!stable_feed} (once per segment, in order), then
-    {!stable_solve} with the period length.  Mathematically identical to
-    {!stable_z} over freshly built segments, but allocation-free: all
-    state lives in per-domain scratch, so pool workers never contend or
-    cross-contaminate.  The scratch is reused by the next evaluation on
+    {!stable_solve} with the period length.  Because
+    [K = prod e^{A dt_q}] is diagonal in modal space, the [(I - K)^{-1}]
+    solve of {!Matex.stable_start} collapses to a per-mode division.
+    Allocation-free: all state lives in per-domain scratch, so pool
+    workers never contend or cross-contaminate.  The scratch is reused by the next evaluation on
     the same domain — read everything you need from the returned vector
     before starting another one. *)
 
@@ -151,18 +146,15 @@ val stable_feed : t -> duration:float -> psi:Linalg.Vec.t -> unit
     until the next streaming evaluation on this domain). *)
 val stable_solve : t -> t_p:float -> Linalg.Vec.t
 
-(** [scan_begin t] seats this domain's dense-scan cursor on the stable
-    status just produced by {!stable_solve}. *)
-val scan_begin : t -> unit
-
-(** [scan_feed t ~samples ~duration ~psi] walks one segment of the
-    periodic trajectory in [samples] equal sub-steps and returns the
-    hottest core temperature among the visited states; the cursor then
-    advances by the full [duration] in one exact step so boundary states
-    accumulate no sub-step rounding.  Allocation-free; bit-identical to
-    scanning freshly built {!segment}s.  Raises [Invalid_argument] on a
-    non-positive [duration] or [samples]. *)
-val scan_feed : t -> samples:int -> duration:float -> psi:Linalg.Vec.t -> float
+(** [peak_scan t ~samples_per_segment profile] is the hottest absolute
+    core temperature over the stable-status period of [profile]: the
+    streamed stable status, then [samples_per_segment] equal sub-steps
+    inside every segment, with each segment boundary reached in one
+    exact full-duration step so boundaries accumulate no sub-step
+    rounding.  Allocation-free (per-domain scratch); the dense engine's
+    {!Backend.t} [peak_scan].  Raises [Invalid_argument] on the profile
+    errors of {!Matex.validate_cores} or [samples_per_segment < 1]. *)
+val peak_scan : t -> samples_per_segment:int -> Matex.profile -> float
 
 (** {2 Prepared-base delta evaluation}
 
@@ -223,36 +215,3 @@ val delta_peak :
 val delta_core_temp :
   t -> at:int -> core:int -> psi_low:float -> psi_high:float ->
   high_ratio:float -> float
-
-type segment
-(** A precomputed constant-power interval: duration, the decay factors
-    [e^{lambda dt}] and the modal equilibrium [z_inf(psi)]. *)
-
-(** [segment t ~duration ~psi] precomputes a segment (decay/gain from the
-    shared table, equilibrium by superposition).  Raises
-    [Invalid_argument] on non-positive durations. *)
-val segment : t -> duration:float -> psi:Linalg.Vec.t -> segment
-
-(** [duration s] is the segment length. *)
-val duration : segment -> float
-
-(** [split s k] is the segment covering [duration s / k] under the same
-    power — the sub-step used by dense scans, sharing [s]'s equilibrium
-    so no new solve is performed. *)
-val split : segment -> int -> segment
-
-(** [advance s z] is the modal state one full segment after [z] — O(n)
-    multiply-adds. *)
-val advance : segment -> Linalg.Vec.t -> Linalg.Vec.t
-
-(** [at s ~t_rel z] is the modal state [t_rel] seconds into the segment,
-    starting from [z] at the segment boundary ([t_rel] need not be a
-    sub-step multiple — golden-section probes use this). *)
-val at : segment -> t_rel:float -> Linalg.Vec.t -> Linalg.Vec.t
-
-(** [stable_z t segs] is the modal stable status of the periodic profile
-    [segs]: because [K = prod e^{A dt_q}] is diagonal in modal space, the
-    [(I - K)^{-1}] solve of {!Matex.stable_start} collapses to a per-mode
-    division, O(n) per segment plus O(n) for the solve.  Raises
-    [Invalid_argument] on an empty list. *)
-val stable_z : t -> segment list -> Linalg.Vec.t

@@ -86,14 +86,18 @@ val theta_inf : t -> Linalg.Vec.t -> Linalg.Vec.t
     the [T^inf] of the paper's Algorithm 1 line 7. *)
 val steady_core_temps : t -> Linalg.Vec.t -> Linalg.Vec.t
 
-(** [propagator m dt] is [e^{A dt}], computed in the eigenbasis and
-    memoized per distinct [dt] (thread-safe; the policies' inner loops
-    reuse a handful of interval lengths thousands of times).  The
-    returned matrix is shared — treat it as read-only. *)
+(** [propagator m dt] is [e^{A dt}], computed in the eigenbasis as
+    [W diag(e^{lambda dt}) W^{-1}]: O(n^3), built afresh on every call
+    and owned by the caller.  Only the theta-space paths use it
+    ({!step}, {!Matex}'s oracle evaluators, {!integrate_theta}); the
+    evaluation engines ({!Modal}, {!Sparse_response}) step in their
+    own coordinates. *)
 val propagator : t -> float -> Linalg.Mat.t
 
 (** [step m ~dt ~theta ~psi] advances the exact LTI solution of Eq. (3)
-    by [dt] under constant core powers [psi]. *)
+    by [dt] under constant core powers [psi] — one LU solve for the
+    equilibrium and one {!propagator} build per call, the exact
+    theta-space path the engines are tested against. *)
 val step : t -> dt:float -> theta:Linalg.Vec.t -> psi:Linalg.Vec.t -> Linalg.Vec.t
 
 (** [core_temps_of_theta m theta] projects a full ambient-relative state
@@ -165,6 +169,7 @@ val decomposed : t -> bool
     constant core powers [psi], starting from [theta]: from
     [dtheta/dt = A theta + b] it equals
     [A^{-1}(theta(dt) - theta(0) - b dt)].  This is what makes leakage
-    energy accounting ({!Sched.Energy}) exact rather than sampled. *)
+    energy accounting ({!Sched.Energy}) exact rather than sampled.
+    Raises [Invalid_argument] when [dt] is negative, NaN or infinite. *)
 val integrate_theta :
   t -> dt:float -> theta:Linalg.Vec.t -> psi:Linalg.Vec.t -> Linalg.Vec.t

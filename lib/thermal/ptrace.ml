@@ -76,24 +76,20 @@ let columns_for_model t model_names =
          (String.concat ", " (List.rev !missing)));
   map
 
-let replay model t ~interval ~column_map =
-  if interval <= 0. then invalid_arg "Ptrace.replay: non-positive interval";
-  if Array.length column_map <> Model.n_cores model then
+let replay (b : Backend.t) t ~interval ~column_map =
+  if not (interval > 0. && Float.is_finite interval) then
+    invalid_arg "Ptrace.replay: interval must be positive and finite";
+  if Array.length column_map <> b.n_cores then
     invalid_arg "Ptrace.replay: column map arity differs from model cores";
-  let theta = ref (Array.make (Model.n_nodes model) 0.) in
+  let state = ref (b.ambient_state ()) in
   let out =
-    Array.make
-      (Array.length t.samples + 1)
-      { Trace.time = 0.; core_temps = Model.core_temps_of_theta model !theta }
+    Array.make (Array.length t.samples + 1) { Trace.time = 0.; core_temps = b.core_temps !state }
   in
   Array.iteri
     (fun k row ->
       let psi = Array.map (fun col -> row.(col)) column_map in
-      theta := Model.step model ~dt:interval ~theta:!theta ~psi;
+      state := b.step ~dt:interval ~state:!state ~psi;
       out.(k + 1) <-
-        {
-          Trace.time = float_of_int (k + 1) *. interval;
-          core_temps = Model.core_temps_of_theta model !theta;
-        })
+        { Trace.time = float_of_int (k + 1) *. interval; core_temps = b.core_temps !state })
     t.samples;
   out

@@ -2,10 +2,10 @@
 
     Whitespace-separated text: a header line naming the units, then one
     line per sampling interval with that many power values (watts).
-    Combined with a {!Model} and a sampling interval, a trace drives the
-    exact LTI stepper to produce a temperature trace — the classic
-    HotSpot workflow, reproduced so externally-generated workloads can
-    be replayed. *)
+    Combined with an engine ({!Backend.t}) and a sampling interval, a
+    trace drives the exact LTI stepper to produce a temperature trace —
+    the classic HotSpot workflow, reproduced so externally-generated
+    workloads can be replayed. *)
 
 type t = {
   names : string array;  (** Column order. *)
@@ -34,9 +34,11 @@ val to_file : string -> t -> unit
     the trace. *)
 val columns_for_model : t -> string array -> int array
 
-(** [replay model t ~interval ~column_map] steps the model from ambient
+(** [replay b t ~interval ~column_map] steps the engine [b] from ambient
     through the whole trace ([interval] seconds per sample row) and
     returns the absolute core-temperature trace, one entry per row
-    boundary (first entry = ambient). *)
+    boundary (first entry = ambient).  Raises [Invalid_argument] when
+    [interval] is not positive and finite, or when [column_map] does not
+    have one entry per engine core. *)
 val replay :
-  Model.t -> t -> interval:float -> column_map:int array -> Trace.sample array
+  Backend.t -> t -> interval:float -> column_map:int array -> Trace.sample array

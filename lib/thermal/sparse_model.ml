@@ -158,19 +158,7 @@ let correct_cores t ~state ~deltas =
     (fun k i -> state.(i) <- state.(i) +. (deltas.(k) *. t.c_sqrt.(i)))
     t.spec.Spec.core_nodes
 
-let validate t profile =
-  (match profile with [] -> invalid_arg "Sparse_model: empty profile" | _ -> ());
-  List.iteri
-    (fun q (s : Matex.segment) ->
-      if s.duration <= 0. then
-        invalid_arg
-          (Printf.sprintf "Sparse_model: segment %d has non-positive duration" q);
-      if Vec.dim s.psi <> n_cores t then
-        invalid_arg
-          (Printf.sprintf
-             "Sparse_model: segment %d power vector has arity %d, expected %d" q
-             (Vec.dim s.psi) (n_cores t)))
-    profile
+let validate t profile = Matex.validate_cores ~n_cores:(n_cores t) profile
 
 (* Periodic stable status.  Every segment shares the operator M, so one
    period is the affine map y -> e^{-T_p M} y + d; the fixed point solves
@@ -178,7 +166,7 @@ let validate t profile =
    1 - e^{-T_p mu} over the SPD spectrum of M), so CG applies with one
    Lanczos expmv per iteration — no matrix power, no LU, no O(n^2)
    storage.  d is one simulated period from the zero state, exactly like
-   Matex.Reference.stable_start. *)
+   Matex.stable_start. *)
 let stable_start t profile =
   validate t profile;
   let t_p = Matex.period profile in
@@ -205,7 +193,7 @@ let end_of_period_peak t profile = max_core_temp t (stable_start t profile)
 (* Visit the [samples] interior/end states of a segment starting from
    [y0]; returns the exact end-of-segment state (advanced in one step, so
    boundary states do not accumulate sub-step rounding) — the same walk
-   as Matex.scan_segment_z. *)
+   as Modal.peak_scan and the Trace walkers. *)
 let scan_segment t ~samples ~y_inf ~duration y0 visit =
   if samples < 1 then invalid_arg "Sparse_model: non-positive sample count";
   let dt = duration /. float_of_int samples in

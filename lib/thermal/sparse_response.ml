@@ -490,98 +490,34 @@ let delta_core_temp t ~at ~core ~psi_low ~psi_high ~high_ratio =
 
 (* --------------------------------------------------------- profiles *)
 
-let validate t profile =
-  (match profile with
-  | [] -> invalid_arg "Sparse_response: empty profile"
-  | _ -> ());
-  List.iteri
-    (fun q (s : Matex.segment) ->
-      if s.duration <= 0. then
-        invalid_arg
-          (Printf.sprintf "Sparse_response: segment %d has non-positive duration"
-             q);
-      if Vec.dim s.psi <> t.nc then
-        invalid_arg
-          (Printf.sprintf
-             "Sparse_response: segment %d power vector has arity %d, expected %d"
-             q (Vec.dim s.psi) t.nc))
-    profile
-
 let stable_start t profile =
-  validate t profile;
   stable_begin t;
   List.iter
     (fun (s : Matex.segment) -> stable_feed t ~duration:s.duration ~psi:s.psi)
     profile;
   stable_solve t ~t_p:(Matex.period profile)
 
-let stable_core_temps t profile =
-  Sparse_model.core_temps t.engine (stable_start t profile)
-
-let end_of_period_peak t profile =
-  Sparse_model.max_core_temp t.engine (stable_start t profile)
-
-(* Visit the [samples] interior/end states of a segment starting from
-   [y0]; returns the exact end-of-segment state (advanced in one step,
-   so boundary states do not accumulate sub-step rounding) — the same
-   walk as Sparse_model.scan_segment, over a superposed equilibrium. *)
-let scan_segment t ~samples ~y_inf ~duration y0 visit =
-  if samples < 1 then invalid_arg "Sparse_response: non-positive sample count";
-  let dt = duration /. float_of_int samples in
-  let yc = ref y0 in
-  for k = 1 to samples do
-    yc := Sparse_model.advance t.engine ~dt ~y_inf !yc;
-    visit (float_of_int k *. dt) !yc
-  done;
-  Sparse_model.advance t.engine ~dt:duration ~y_inf y0
-
-let peak_scan t ?(samples_per_segment = 32) profile =
-  validate t profile;
+(* The stable start, then each segment walked in [samples] equal
+   sub-steps (the same walk as Sparse_model.scan_segment, over a
+   superposed equilibrium); the next boundary is reached in one exact
+   full-duration step so boundaries accumulate no sub-step rounding. *)
+let peak_scan t ~samples_per_segment profile =
+  Matex.validate_cores ~n_cores:t.nc profile;
+  if samples_per_segment < 1 then
+    invalid_arg "Sparse_response: non-positive sample count";
   let y = ref (stable_start t profile) in
   let best = ref (Sparse_model.max_core_temp t.engine !y) in
   let s_scr = Domain.DLS.get t.scratch_key in
   List.iter
     (fun (s : Matex.segment) ->
-      y_inf_into t s_scr.y_eq s.psi;
-      y :=
-        scan_segment t ~samples:samples_per_segment ~y_inf:s_scr.y_eq
-          ~duration:s.duration !y (fun _ yc ->
-            best := Float.max !best (Sparse_model.max_core_temp t.engine yc)))
-    profile;
-  !best
-
-let peak_refined t ?(samples_per_segment = 32) ?(tol = 1e-4) profile =
-  validate t profile;
-  let y = ref (stable_start t profile) in
-  let best = ref (Sparse_model.max_core_temp t.engine !y) in
-  List.iter
-    (fun (s : Matex.segment) ->
-      let y0 = !y in
-      (* The refinement's golden probes run interleaved with the scan's
-         visits, so the segment equilibrium lives in a fresh vector here
-         rather than the shared scratch. *)
-      let y_inf = y_inf t s.psi in
-      let duration = s.duration in
-      let dt = duration /. float_of_int samples_per_segment in
-      let best_k = ref 0
-      and best_here = ref (Sparse_model.max_core_temp t.engine y0) in
-      y :=
-        scan_segment t ~samples:samples_per_segment ~y_inf ~duration y0
-          (fun tm yc ->
-            let temp = Sparse_model.max_core_temp t.engine yc in
-            if temp > !best_here then begin
-              best_here := temp;
-              best_k := int_of_float (Float.round (tm /. dt))
-            end);
-      best := Float.max !best !best_here;
-      let lo = Float.max 0. ((float_of_int !best_k -. 1.) *. dt) in
-      let hi = Float.min duration ((float_of_int !best_k +. 1.) *. dt) in
-      if hi > lo then begin
-        let temp_at tm =
-          Sparse_model.max_core_temp t.engine
-            (Sparse_model.advance t.engine ~dt:tm ~y_inf y0)
-        in
-        best := Float.max !best (Matex.golden_max temp_at lo hi (tol *. duration))
-      end)
+      let y_inf = s_scr.y_eq in
+      y_inf_into t y_inf s.psi;
+      let dt = s.duration /. float_of_int samples_per_segment in
+      let yc = ref !y in
+      for _ = 1 to samples_per_segment do
+        yc := Sparse_model.advance t.engine ~dt ~y_inf !yc;
+        best := Float.max !best (Sparse_model.max_core_temp t.engine !yc)
+      done;
+      y := Sparse_model.advance t.engine ~dt:s.duration ~y_inf !y)
     profile;
   !best

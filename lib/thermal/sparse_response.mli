@@ -153,20 +153,10 @@ val delta_core_temp :
   t -> at:int -> core:int -> psi_low:float -> psi_high:float ->
   high_ratio:float -> float
 
-(** {1 Profile evaluators}
-
-    {!Sparse_model}'s profile interface on the superposition tables —
-    per-segment equilibria come from {!y_inf_into} instead of CG
-    solves, and the stable fixed point is warm-started; everything else
-    (validation, sampling semantics, golden-section refinement) matches
-    the direct engine exactly — including [Invalid_argument] on
-    [samples_per_segment < 1] and on a [tol] that is not positive and
-    finite, as {!Matex.peak_scan}/{!Matex.peak_refined} raise. *)
-
-val stable_start : t -> Matex.profile -> Linalg.Vec.t
-val stable_core_temps : t -> Matex.profile -> Linalg.Vec.t
-val end_of_period_peak : t -> Matex.profile -> float
-val peak_scan : t -> ?samples_per_segment:int -> Matex.profile -> float
-
-val peak_refined :
-  t -> ?samples_per_segment:int -> ?tol:float -> Matex.profile -> float
+(** [peak_scan t ~samples_per_segment profile] is {!Sparse_model.peak_scan}
+    on the superposition tables — the sparse engine's {!Backend.t}
+    [peak_scan]: per-segment equilibria come from {!y_inf_into} instead
+    of CG solves, everything else (validation, sampling semantics)
+    matches the direct engine, including [Invalid_argument] on
+    [samples_per_segment < 1]. *)
+val peak_scan : t -> samples_per_segment:int -> Matex.profile -> float

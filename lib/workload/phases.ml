@@ -38,7 +38,8 @@ let sample_utilization rng ~phases ~n_cores ~epochs ~dt =
   validate_phases phases;
   if n_cores < 1 then invalid_arg "Phases.sample_utilization: no cores";
   if epochs < 0 then invalid_arg "Phases.sample_utilization: negative epoch count";
-  if dt <= 0. then invalid_arg "Phases.sample_utilization: non-positive dt";
+  if not (dt > 0. && Float.is_finite dt) then
+    invalid_arg "Phases.sample_utilization: dt must be positive and finite";
   let phase_array = Array.of_list phases in
   let n_phases = Array.length phase_array in
   let current = Array.init n_cores (fun _ -> Random.State.int rng n_phases) in
@@ -56,7 +57,8 @@ let sample_utilization rng ~phases ~n_cores ~epochs ~dt =
 
 let generate rng ~phases ~names ~duration ~dt ~power ~levels =
   validate_phases phases;
-  if duration <= 0. || dt <= 0. then invalid_arg "Phases.generate: non-positive time";
+  if not (duration > 0. && Float.is_finite duration && dt > 0. && Float.is_finite dt) then
+    invalid_arg "Phases.generate: duration and dt must be positive and finite";
   let phase_array = Array.of_list phases in
   let n_phases = Array.length phase_array in
   let n = Array.length names in

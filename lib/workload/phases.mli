@@ -25,7 +25,8 @@ val default_phases : phase list
     core's phase utilization is mapped to the nearest-above available
     voltage ([levels]), whose {!Power.Power_model.psi} becomes the
     trace power.  Raises [Invalid_argument] on an empty phase list,
-    out-of-range utilizations, or non-positive [duration]/[dt]. *)
+    out-of-range utilizations, or a [duration] or [dt] that is not
+    positive and finite. *)
 val generate :
   Random.State.t ->
   phases:phase list ->
@@ -41,7 +42,8 @@ val generate :
     utilizations — [epochs] rows of [n_cores] values in [0, 1] — for
     callers (the {!Runtime.Loop} epoch simulator) that map utilization
     to power themselves.  Raises [Invalid_argument] on a bad phase
-    list, no cores, a negative epoch count or non-positive [dt]. *)
+    list, no cores, a negative epoch count or a [dt] that is not
+    positive and finite. *)
 val sample_utilization :
   Random.State.t ->
   phases:phase list ->

@@ -134,11 +134,32 @@ let test_ptrace_replay_matches_matex () =
   let rows = Array.make 60 [| 12.; 4. |] in
   let t = { Thermal.Ptrace.names = [| "core_0_0"; "core_0_1" |]; samples = rows } in
   let map = Thermal.Ptrace.columns_for_model t [| "core_0_0"; "core_0_1" |] in
-  let trace = Thermal.Ptrace.replay model t ~interval:0.05 ~column_map:map in
+  let b = Thermal.Backend.of_model model in
+  let trace = Thermal.Ptrace.replay b t ~interval:0.05 ~column_map:map in
   let final = trace.(Array.length trace - 1).Thermal.Trace.core_temps in
   let steady = Thermal.Model.steady_core_temps model [| 12.; 4. |] in
   Alcotest.(check bool) "converged to steady state" true
-    (Linalg.Vec.approx_equal ~tol:1e-3 steady final)
+    (Linalg.Vec.approx_equal ~tol:1e-3 steady final);
+  (* Every row boundary agrees with the theta-space oracle. *)
+  let theta = ref (Linalg.Vec.zeros (Thermal.Model.n_nodes model)) in
+  Array.iteri
+    (fun k _ ->
+      theta := Thermal.Model.step model ~dt:0.05 ~theta:!theta ~psi:[| 12.; 4. |];
+      if
+        not
+          (Linalg.Vec.approx_equal ~tol:1e-9
+             (Thermal.Model.core_temps_of_theta model !theta)
+             trace.(k + 1).Thermal.Trace.core_temps)
+      then Alcotest.failf "row %d differs from Model.step" k)
+    rows;
+  (* A NaN, infinite or non-positive interval is rejected. *)
+  List.iter
+    (fun interval ->
+      Alcotest.(check bool) (Printf.sprintf "interval %g rejected" interval) true
+        (match Thermal.Ptrace.replay b t ~interval ~column_map:map with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [ Float.nan; Float.infinity; 0.; -0.05 ]
 
 (* --------------------------------------------------------- peak_refined *)
 
@@ -153,9 +174,9 @@ let test_peak_refined_at_least_scan () =
       Workload.Random_sched.arbitrary rng ~n_cores:3 ~period:0.5 ~max_intervals:4
         ~levels:(Power.Vf.table_iv 5)
     in
-    let profile = Sched.Peak.profile (Thermal.Backend.of_model m) pm s in
-    let scan = Thermal.Matex.peak_scan m ~samples_per_segment:16 profile in
-    let refined = Thermal.Matex.peak_refined m ~samples_per_segment:16 profile in
+    let b = Thermal.Backend.of_model m in
+    let scan = Sched.Peak.of_any b pm ~samples_per_segment:16 s in
+    let refined = Sched.Peak.of_any_refined b pm ~samples_per_segment:16 s in
     Alcotest.(check bool) "refined >= scan" true (refined >= scan -. 1e-9)
   done
 
@@ -167,8 +188,9 @@ let test_peak_refined_converges () =
     { Thermal.Matex.duration = d; psi = Power.Power_model.psi_vector pm v }
   in
   let profile = [ seg 0.4 [| 1.3; 0.6; 0.6 |]; seg 0.4 [| 0.6; 0.6; 0.6 |] ] in
-  let fine = Thermal.Matex.peak_scan m ~samples_per_segment:512 profile in
-  let refined = Thermal.Matex.peak_refined m ~samples_per_segment:8 profile in
+  let b = Thermal.Backend.of_model m in
+  let fine = b.peak_scan ~samples_per_segment:512 profile in
+  let refined = Thermal.Trace.peak_refined b ~samples_per_segment:8 ~tol:1e-4 profile in
   check_close 1e-3 "coarse+golden = very fine scan" fine refined
 
 let test_peak_of_any_refined_step_up_consistent () =
@@ -519,9 +541,9 @@ let test_theorem1_exact_without_coupling () =
       Workload.Random_sched.step_up rng ~n_cores:3 ~period:0.6 ~max_intervals:4
         ~levels:(Power.Vf.table_iv 5)
     in
-    let profile = Sched.Peak.profile (Thermal.Backend.of_model m) pm s in
-    let end_peak = Thermal.Matex.end_of_period_peak m profile in
-    let true_peak = Thermal.Matex.peak_refined m ~samples_per_segment:32 profile in
+    let b = Thermal.Backend.of_model m in
+    let end_peak = Sched.Peak.of_step_up b pm s in
+    let true_peak = Sched.Peak.of_any_refined b pm ~samples_per_segment:32 s in
     Alcotest.(check bool) "no exceedance at zero coupling" true
       (true_peak <= end_peak +. 1e-6)
   done

@@ -149,7 +149,9 @@ let test_stable_status_vs_transient_sim () =
     Thermal.Trace.periods_to_stable p.Core.Platform.model ~tol:1e-9 profile
   in
   let trace =
-    Thermal.Trace.from_ambient p.Core.Platform.model ~periods:(periods + 5)
+    Thermal.Trace.from_ambient
+      (Thermal.Backend.of_model p.Core.Platform.model)
+      ~periods:(periods + 5)
       ~samples_per_segment:8 profile
   in
   let last_period_peak =

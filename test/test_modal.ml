@@ -1,12 +1,14 @@
 (* Differential tests for the modal (eigenbasis) evaluation engine: the
-   Matex hot path must agree with the reference Model.step /
-   Model.propagator implementations to <= 1e-9 on trajectories, stable
-   statuses and refined peaks. *)
+   engine path (Modal and the Backend.of_model record, as Sched.Peak and
+   Trace drive it) must agree with the theta-space oracle (Model.step,
+   Model.propagator and Matex's evaluators) to <= 1e-9 on trajectories,
+   stable statuses and refined peaks. *)
 
 module Vec = Linalg.Vec
 module Model = Thermal.Model
 module Modal = Thermal.Modal
 module Matex = Thermal.Matex
+module Backend = Thermal.Backend
 
 let pm = Power.Power_model.default
 let levels5 = Power.Vf.table_iv 5
@@ -59,8 +61,8 @@ let prop_trajectory_matches_reference model name =
              <= 1e-9)
         segs)
 
-(* Interior sampling: Modal.at must agree with a direct Model.step of the
-   same offset. *)
+(* Interior sampling: one engine step of any offset into a segment must
+   agree with a direct Model.step of the same offset. *)
 let prop_interior_samples_match =
   QCheck.Test.make ~name:"Modal.at matches Model.step at interior times" ~count:100
     seed_gen (fun seed ->
@@ -72,13 +74,13 @@ let prop_interior_samples_match =
         Array.init (Model.n_nodes model) (fun _ -> Random.State.float rng 30.)
       in
       let eng = Modal.make model in
-      let seg = Modal.segment eng ~duration ~psi in
+      let b = Backend.of_model model in
       let z0 = Modal.to_modal eng theta0 in
       List.for_all
         (fun frac ->
           let t = frac *. duration in
           let reference = Model.step model ~dt:t ~theta:theta0 ~psi in
-          let modal = Modal.of_modal eng (Modal.at seg ~t_rel:t z0) in
+          let modal = Modal.of_modal eng (b.step ~dt:t ~state:z0 ~psi) in
           Vec.dist_inf reference modal <= 1e-9)
         [ 0.1; 0.37; 0.5; 0.99 ])
 
@@ -88,9 +90,10 @@ let prop_stable_start_matches model name =
   QCheck.Test.make ~name ~count:50 seed_gen (fun seed ->
       let rng = Random.State.make [| seed |] in
       let s = random_step_up rng ~n_cores:(Model.n_cores model) ~period:5. in
-      let profile = Sched.Peak.profile (Thermal.Backend.of_model model) pm s in
-      let reference = Matex.Reference.stable_start model profile in
-      let modal = Matex.stable_start model profile in
+      let b = Backend.of_model model in
+      let profile = Sched.Peak.profile b pm s in
+      let reference = Matex.stable_start model profile in
+      let modal = Modal.of_modal (Modal.make model) (Backend.stable_state b profile) in
       Vec.dist_inf reference modal <= 1e-9)
 
 let prop_stable_core_temps_match =
@@ -98,11 +101,12 @@ let prop_stable_core_temps_match =
     ~count:50 seed_gen (fun seed ->
       let rng = Random.State.make [| seed |] in
       let s = random_step_up rng ~n_cores:3 ~period:5. in
-      let profile = Sched.Peak.profile (Thermal.Backend.of_model model3) pm s in
+      let b = Backend.of_model model3 in
       let via_state =
-        Model.core_temps_of_theta model3 (Matex.stable_start model3 profile)
+        Model.core_temps_of_theta model3
+          (Matex.stable_start model3 (Sched.Peak.profile b pm s))
       in
-      let direct = Matex.stable_core_temps model3 profile in
+      let direct = Sched.Peak.stable_end_core_temps b pm s in
       Vec.dist_inf via_state direct <= 1e-9)
 
 (* ------------------------------------------------------- peak agreement *)
@@ -112,11 +116,12 @@ let prop_peak_scan_matches =
     (fun seed ->
       let rng = Random.State.make [| seed |] in
       let segs = random_segments rng model3 4 in
-      let reference = Matex.Reference.peak_scan model3 ~samples_per_segment:16 segs in
-      let modal = Matex.peak_scan model3 ~samples_per_segment:16 segs in
+      let reference = Matex.peak_scan model3 ~samples_per_segment:16 segs in
+      let modal = (Backend.of_model model3).peak_scan ~samples_per_segment:16 segs in
       Float.abs (reference -. modal) <= 1e-9)
 
-(* The Fig. 2 two-mode schedules, evaluated by both peak_refined paths. *)
+(* The Fig. 2 two-mode schedules, refined on the engine and by the
+   theta-space oracle. *)
 let test_peak_refined_fig2 () =
   let seg d v = { Sched.Schedule.duration = d; voltage = v } in
   let base =
@@ -132,11 +137,11 @@ let test_peak_refined_fig2 () =
   in
   List.iteri
     (fun i s ->
-      let profile = Sched.Peak.profile (Thermal.Backend.of_model model2) pm s in
+      let b = Backend.of_model model2 in
       let reference =
-        Matex.Reference.peak_refined model2 ~samples_per_segment:32 profile
+        Matex.peak_refined model2 ~samples_per_segment:32 (Sched.Peak.profile b pm s)
       in
-      let modal = Matex.peak_refined model2 ~samples_per_segment:32 profile in
+      let modal = Sched.Peak.of_any_refined b pm ~samples_per_segment:32 s in
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "fig2 schedule %d refined peak" i)
         reference modal)
@@ -152,11 +157,11 @@ let prop_peak_refined_matches =
           ~high:[| 1.3; 1.3; 1.3 |]
           ~high_ratio:[| ratio (); ratio (); ratio () |]
       in
-      let profile = Sched.Peak.profile (Thermal.Backend.of_model model3) pm s in
+      let b = Backend.of_model model3 in
       let reference =
-        Matex.Reference.peak_refined model3 ~samples_per_segment:16 profile
+        Matex.peak_refined model3 ~samples_per_segment:16 (Sched.Peak.profile b pm s)
       in
-      let modal = Matex.peak_refined model3 ~samples_per_segment:16 profile in
+      let modal = Sched.Peak.of_any_refined b pm ~samples_per_segment:16 s in
       Float.abs (reference -. modal) <= 1e-9)
 
 (* ------------------------------------------------- engine-level algebra *)
@@ -179,18 +184,18 @@ let test_z_inf_is_steady_state () =
     (Vec.dist_inf (Modal.core_temps eng z) (Model.steady_core_temps model9 psi)
     <= 1e-9)
 
+(* The engine's per-mode stable status, stepped through one period on
+   the same engine, comes back to itself. *)
 let test_stable_z_periodicity () =
-  let eng = Modal.make model9 in
+  let b = Backend.of_model model9 in
   let rng = Random.State.make [| 42 |] in
   let profile = random_segments rng model9 5 in
-  let segs =
-    List.map
-      (fun (s : Thermal.Matex.segment) ->
-        Modal.segment eng ~duration:s.duration ~psi:s.psi)
-      profile
+  let z_star = Array.copy (Backend.stable_state b profile) in
+  let z_end =
+    List.fold_left
+      (fun z (s : Thermal.Matex.segment) -> b.step ~dt:s.duration ~state:z ~psi:s.psi)
+      z_star profile
   in
-  let z_star = Modal.stable_z eng segs in
-  let z_end = List.fold_left (fun z s -> Modal.advance s z) z_star segs in
   Alcotest.(check bool) "stable status repeats after one period" true
     (Vec.dist_inf z_star z_end <= 1e-9)
 

@@ -9,6 +9,13 @@ module Vec = Linalg.Vec
 module Model = Thermal.Model
 module Modal = Thermal.Modal
 module Matex = Thermal.Matex
+module Backend = Thermal.Backend
+
+(* The engine path's period-boundary peak of a profile: the streamed
+   stable status of the dense record, read at its hottest core. *)
+let end_peak model profile =
+  let b = Backend.of_model model in
+  b.max_core_temp (Backend.stable_state b profile)
 
 let model_a =
   Thermal.Hotspot.core_level
@@ -78,9 +85,10 @@ let prop_streamed_stable_matches_lu =
       let rng = Random.State.make [| seed |] in
       let model = random_model rng in
       let profile = random_profile rng model in
-      let streamed = Matex.stable_core_temps model profile in
+      let b = Backend.of_model model in
+      let streamed = b.core_temps (Backend.stable_state b profile) in
       let reference =
-        Model.core_temps_of_theta model (Matex.Reference.stable_start model profile)
+        Model.core_temps_of_theta model (Matex.stable_start model profile)
       in
       Vec.dist_inf streamed reference <= 1e-9)
 
@@ -90,10 +98,8 @@ let prop_end_of_period_peak_matches_lu =
       let rng = Random.State.make [| seed |] in
       let model = random_model rng in
       let profile = random_profile rng model in
-      let streamed = Matex.end_of_period_peak model profile in
-      let reference =
-        Model.max_core_temp model (Matex.Reference.stable_start model profile)
-      in
+      let streamed = end_peak model profile in
+      let reference = Model.max_core_temp model (Matex.stable_start model profile) in
       Float.abs (streamed -. reference) <= 1e-9)
 
 (* ---------------------------------------------- pool-size invariance *)
@@ -106,7 +112,7 @@ let test_pool_size_invariance () =
   let profiles = Array.init 24 (fun _ -> random_profile rng model_a) in
   let eval pool =
     Util.Pool.init ~pool (Array.length profiles) (fun i ->
-        Matex.end_of_period_peak model_a profiles.(i))
+        end_peak model_a profiles.(i))
   in
   let p1 = Util.Pool.create ~size:1 () in
   let p4 = Util.Pool.create ~size:4 () in
@@ -135,14 +141,14 @@ let test_no_cross_contamination () =
   let profile_a = random_profile rng model_a in
   let profile_b = random_profile rng model_b in
   let eng_a = Modal.make model_a in
-  let expected_a = Matex.end_of_period_peak model_a profile_a in
+  let expected_a = end_peak model_a profile_a in
   (* Replay profile_a through the streaming API by hand, running full
      evaluations on model_b between every feed. *)
   Modal.stable_begin eng_a;
   let t_p =
     List.fold_left
       (fun acc (s : Matex.segment) ->
-        ignore (Matex.end_of_period_peak model_b profile_b);
+        ignore (end_peak model_b profile_b);
         Modal.stable_feed eng_a ~duration:s.duration ~psi:s.psi;
         acc +. s.duration)
       0. profile_a
@@ -151,10 +157,8 @@ let test_no_cross_contamination () =
   Alcotest.(check bool) "interleaved streaming bit-identical" true
     (Int64.bits_of_float interleaved = Int64.bits_of_float expected_a);
   (* And the other platform still answers correctly afterwards. *)
-  let b_now = Matex.end_of_period_peak model_b profile_b in
-  let b_ref =
-    Model.max_core_temp model_b (Matex.Reference.stable_start model_b profile_b)
-  in
+  let b_now = end_peak model_b profile_b in
+  let b_ref = Model.max_core_temp model_b (Matex.stable_start model_b profile_b) in
   Alcotest.(check bool) "other platform undisturbed" true
     (Float.abs (b_now -. b_ref) <= 1e-9)
 
@@ -166,13 +170,13 @@ let test_stats_observable () =
   Alcotest.(check bool) "at least one engine built" true (before.Modal.builds >= 1);
   let rng = Random.State.make [| 11 |] in
   let profile = random_profile rng model_a in
-  ignore (Matex.end_of_period_peak model_a profile);
+  ignore (end_peak model_a profile);
   let mid = Modal.stats eng in
   Alcotest.(check bool) "superposition evaluations counted" true
     (mid.Modal.superpose_evals > before.Modal.superpose_evals);
   (* Re-evaluating the same profile reuses the same durations: every
      decay/gain lookup after the first pass hits the table. *)
-  ignore (Matex.end_of_period_peak model_a profile);
+  ignore (end_peak model_a profile);
   let after = Modal.stats eng in
   Alcotest.(check bool) "decay-table hits grow on repeated durations" true
     (after.Modal.exp_hits > mid.Modal.exp_hits);

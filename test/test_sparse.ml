@@ -310,12 +310,11 @@ let prop_sparse_stable_matches_dense =
       Vec.dist_inf dense (Sp_model.to_theta eng (Sp_model.stable_start eng profile))
       <= 1e-9
       && Vec.dist_inf
-           (Matex.stable_core_temps model profile)
+           (Model.core_temps_of_theta model dense)
            (Sp_model.stable_core_temps eng profile)
          <= 1e-9
       && Float.abs
-           (Matex.end_of_period_peak model profile
-           -. Sp_model.end_of_period_peak eng profile)
+           (Model.max_core_temp model dense -. Sp_model.end_of_period_peak eng profile)
          <= 1e-9)
 
 let prop_sparse_peak_scan_matches_dense =

@@ -12,6 +12,13 @@ module Sp = Thermal.Sparse_model
 module Resp = Thermal.Sparse_response
 module Reduced = Thermal.Reduced
 module Matex = Thermal.Matex
+module Backend = Thermal.Backend
+
+(* The engine path's period-boundary peak of a profile on the sparse
+   record. *)
+let end_peak resp profile =
+  let b = Backend.of_response resp in
+  b.max_core_temp (Backend.stable_state b profile)
 
 let seed_gen = QCheck.(make Gen.(int_range 0 1_000_000))
 
@@ -72,16 +79,17 @@ let prop_streaming_stable_matches_segment_path =
       let eng = Sp.of_model model in
       let resp = Resp.build eng in
       let profile = random_profile rng (Sp.n_cores eng) in
-      Vec.dist_inf (Resp.stable_start resp profile) (Sp.stable_start eng profile)
+      let b = Backend.of_response resp in
+      Vec.dist_inf (Backend.stable_state b profile) (Sp.stable_start eng profile)
       <= 1e-9
-      && Float.abs
-           (Resp.end_of_period_peak resp profile
-           -. Sp.end_of_period_peak eng profile)
-         <= 1e-9
-      && Float.abs (Resp.peak_scan resp profile -. Sp.peak_scan eng profile)
+      && Float.abs (end_peak resp profile -. Sp.end_of_period_peak eng profile)
          <= 1e-9
       && Float.abs
-           (Resp.peak_refined resp profile -. Sp.peak_refined eng profile)
+           (b.peak_scan ~samples_per_segment:32 profile -. Sp.peak_scan eng profile)
+         <= 1e-9
+      && Float.abs
+           (Thermal.Trace.peak_refined b ~samples_per_segment:32 ~tol:1e-4 profile
+           -. Sp.peak_refined eng profile)
          <= 1e-9)
 
 let prop_step_matches_engine =
@@ -122,7 +130,7 @@ let test_pool_size_determinism () =
     let pool = Util.Pool.create ~size:pool_size () in
     let out =
       Util.Pool.init ~pool (Array.length profiles) (fun i ->
-          Resp.end_of_period_peak resp profiles.(i))
+          end_peak resp profiles.(i))
     in
     Util.Pool.shutdown pool;
     out
@@ -149,8 +157,8 @@ let test_scratch_cross_engine_isolation () =
   let ra = Resp.build eng_a and rb = Resp.build eng_b in
   let pa = random_profile rng (Sp.n_cores eng_a) in
   let pb = random_profile rng (Sp.n_cores eng_b) in
-  let expect_a = Resp.end_of_period_peak ra pa in
-  let expect_b = Resp.end_of_period_peak rb pb in
+  let expect_a = end_peak ra pa in
+  let expect_b = end_peak rb pb in
   (* Interleave the streaming feeds by hand. *)
   Resp.stable_begin ra;
   Resp.stable_begin rb;
@@ -444,6 +452,53 @@ let test_scan_rejects_bad_samples () =
   raises "Sparse_model.peak_refined tol nan" (fun () ->
       Sp.peak_refined sp ~tol:Float.nan profile)
 
+(* The one engine-generic refinement ([Sched.Peak.of_any_refined]) against
+   each engine's oracle: the theta-space [Matex.peak_refined] for the
+   dense record, the direct Krylov [Sparse_model.peak_refined] for the
+   sparse one. *)
+let test_refined_matches_oracles () =
+  let p = sheet2 () in
+  let pm = p.Core.Platform.power in
+  let model = p.Core.Platform.model in
+  let rng = Random.State.make [| 17 |] in
+  let schedules =
+    shifted_schedule (Core.Platform.n_cores p)
+    :: List.init 6 (fun _ ->
+           Workload.Random_sched.arbitrary rng ~n_cores:(Core.Platform.n_cores p)
+             ~period:0.3 ~max_intervals:4 ~levels:(Power.Vf.table_iv 5))
+  in
+  let dense = Backend.of_model model in
+  let sparse = Backend.of_response (Resp.make (Sp.of_model model)) in
+  List.iteri
+    (fun i s ->
+      let profile = Sched.Peak.profile dense pm s in
+      Alcotest.(check (float 1e-9))
+        (Printf.sprintf "schedule %d: dense refine = Matex.peak_refined" i)
+        (Matex.peak_refined model ~samples_per_segment:16 profile)
+        (Sched.Peak.of_any_refined dense pm ~samples_per_segment:16 s);
+      Alcotest.(check (float 1e-9))
+        (Printf.sprintf "schedule %d: sparse refine = Sparse_model.peak_refined" i)
+        (Sp.peak_refined (Sp.of_model model) ~samples_per_segment:16 profile)
+        (Sched.Peak.of_any_refined sparse pm ~samples_per_segment:16 s))
+    schedules
+
+(* Sprint's burst is stepped on the context's own engine: a sparse
+   context answers without the dense eigensolve, and agrees with a
+   dense context's burst. *)
+let test_sprint_sparse_skips_eigensolve () =
+  let sheet4 () =
+    Core.Platform.sheet ~rows:4 ~cols:4 ~levels:(Power.Vf.table_iv 3) ~t_max:65. ()
+  in
+  let sparse_p = sheet4 () and dense_p = sheet4 () in
+  let sparse = Core.Sprint.plan (Core.Eval.create ~backend:Core.Eval.Sparse sparse_p) in
+  Alcotest.(check bool) "sparse model still undecomposed" false
+    (Thermal.Model.decomposed sparse_p.Core.Platform.model);
+  let dense = Core.Sprint.plan (Core.Eval.create dense_p) in
+  Alcotest.(check bool) "finite burst" true
+    (Float.is_finite dense.Core.Sprint.burst_duration);
+  Alcotest.(check (float 1e-9)) "burst duration, sparse = dense"
+    dense.Core.Sprint.burst_duration sparse.Core.Sprint.burst_duration
+
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
@@ -483,6 +538,8 @@ let () =
         [
           Alcotest.test_case "sparse AO/Demand skip the eigensolve" `Quick
             test_sparse_context_skips_eigensolve;
+          Alcotest.test_case "sparse Sprint skips the eigensolve" `Quick
+            test_sprint_sparse_skips_eigensolve;
         ] );
       ( "input-checks",
         [
@@ -490,5 +547,10 @@ let () =
             test_refined_rejects_bad_tol;
           Alcotest.test_case "samples < 1 raises, both engines" `Quick
             test_scan_rejects_bad_samples;
+        ] );
+      ( "oracles",
+        [
+          Alcotest.test_case "refine = oracle peak_refined, both engines" `Quick
+            test_refined_matches_oracles;
         ] );
     ]

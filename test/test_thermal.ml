@@ -8,6 +8,8 @@ module Fp = Thermal.Floorplan
 module Rc = Thermal.Rc_network
 module Model = Thermal.Model
 module Matex = Thermal.Matex
+module Backend = Thermal.Backend
+module Trace = Thermal.Trace
 
 let check_close tol = Alcotest.(check (float tol))
 
@@ -425,8 +427,13 @@ let test_matex_constant_profile_stable_is_steady () =
 let test_matex_peak_scan_at_least_boundaries () =
   let m = model3 () in
   let p = two_mode_profile ~d1:0.2 ~v1:[| 1.3; 0.6; 0.6 |] ~d2:0.2 ~v2:[| 0.6; 0.6; 1.3 |] in
+  let boundary_peak =
+    Array.fold_left
+      (fun acc theta -> Float.max acc (Model.max_core_temp m theta))
+      neg_infinity (Matex.stable_boundaries m p)
+  in
   Alcotest.(check bool) "scan >= boundary peak" true
-    (Matex.peak_scan m p >= Matex.peak_at_boundaries m p -. 1e-12)
+    (Matex.peak_scan m p >= boundary_peak -. 1e-12)
 
 let test_matex_interior_peak_found () =
   (* Hot interval first, then a long cool-down: the true peak is at the
@@ -434,7 +441,7 @@ let test_matex_interior_peak_found () =
   let m = model3 () in
   let p = two_mode_profile ~d1:0.5 ~v1:[| 1.3; 0.6; 0.6 |] ~d2:0.5 ~v2:[| 0.6; 0.6; 0.6 |] in
   let scan = Matex.peak_scan m p in
-  let end_peak = Matex.end_of_period_peak m p in
+  let end_peak = Model.max_core_temp m (Matex.stable_start m p) in
   Alcotest.(check bool) "non-step-up: scan strictly above end-of-period" true
     (scan > end_peak +. 0.5)
 
@@ -450,22 +457,29 @@ let test_matex_validation () =
 let test_matex_trace_continuity () =
   let m = model3 () in
   let p = two_mode_profile ~d1:0.05 ~v1:[| 1.3; 1.3; 1.3 |] ~d2:0.05 ~v2:[| 0.6; 0.6; 0.6 |] in
-  let trace = Matex.stable_core_trace m ~samples_per_segment:8 p in
+  let trace = Trace.stable_core_trace (Backend.of_model m) ~samples_per_segment:8 p in
   Alcotest.(check int) "sample count" 17 (Array.length trace);
-  let t_last, temps_last = trace.(Array.length trace - 1) in
-  let _, temps_first = trace.(0) in
-  check_close 1e-9 "covers the period" 0.1 t_last;
+  let last = trace.(Array.length trace - 1) in
+  check_close 1e-9 "covers the period" 0.1 last.Trace.time;
   Alcotest.(check bool) "periodic continuity" true
-    (Vec.approx_equal ~tol:1e-9 temps_first temps_last)
+    (Vec.approx_equal ~tol:1e-9 trace.(0).Trace.core_temps last.Trace.core_temps);
+  (* The engine's stable period agrees with the theta-space oracle at
+     every segment boundary. *)
+  let boundaries = Matex.stable_boundaries m p in
+  Alcotest.(check bool) "boundaries = Matex.stable_boundaries" true
+    (Vec.approx_equal ~tol:1e-9
+       (Model.core_temps_of_theta m boundaries.(1))
+       trace.(8).Trace.core_temps)
 
 let test_time_to_threshold_crossing () =
   let m = model3 () in
   let profile = [ { Matex.duration = 0.05; psi = psi_vec [| 1.3; 1.3; 1.3 |] } ] in
-  match Matex.time_to_threshold m ~threshold:60. profile with
+  let b = Backend.of_model m in
+  match Trace.time_to_threshold b ~threshold:60. profile with
   | None -> Alcotest.fail "all-high from ambient must cross 60C"
   | Some t ->
       (* Cross-check against a dense transient simulation. *)
-      let trace = Thermal.Trace.from_ambient m ~periods:40 ~samples_per_segment:64 profile in
+      let trace = Trace.from_ambient b ~periods:40 ~samples_per_segment:64 profile in
       let first_above =
         Array.to_seq trace
         |> Seq.filter (fun s -> Vec.max s.Thermal.Trace.core_temps >= 60.)
@@ -483,20 +497,25 @@ let test_time_to_threshold_never () =
   let profile = [ { Matex.duration = 0.05; psi = psi_vec [| 0.6; 0.6; 0.6 |] } ] in
   Alcotest.(check bool) "all-low never reaches 60C" true
     (Option.is_none
-       (Matex.time_to_threshold m ~max_periods:200 ~threshold:60. profile))
+       (Trace.time_to_threshold (Backend.of_model m) ~max_periods:200 ~threshold:60.
+          profile))
 
 let test_time_to_threshold_immediate () =
   let m = model3 () in
   let profile = [ { Matex.duration = 0.05; psi = psi_vec [| 1.3; 1.3; 1.3 |] } ] in
-  let hot_start = Vec.create 3 40. in
+  let b = Backend.of_model m in
+  (* 40 K above ambient on every core node (this model has no others). *)
+  let hot_start = b.ambient_state () in
+  b.correct_cores ~state:hot_start ~deltas:(Vec.create 3 40.);
   Alcotest.(check (option (float 1e-12))) "already above" (Some 0.)
-    (Matex.time_to_threshold m ~theta0:hot_start ~threshold:60. profile)
+    (Trace.time_to_threshold b ~state0:hot_start ~threshold:60. profile)
 
 let test_time_to_threshold_monotone_in_threshold () =
   let m = model3 () in
   let profile = [ { Matex.duration = 0.05; psi = psi_vec [| 1.3; 1.3; 1.3 |] } ] in
-  let t1 = Option.get (Matex.time_to_threshold m ~threshold:50. profile) in
-  let t2 = Option.get (Matex.time_to_threshold m ~threshold:65. profile) in
+  let b = Backend.of_model m in
+  let t1 = Option.get (Trace.time_to_threshold b ~threshold:50. profile) in
+  let t2 = Option.get (Trace.time_to_threshold b ~threshold:65. profile) in
   Alcotest.(check bool) "higher threshold takes longer" true (t2 > t1)
 
 (* -------------------------------------------------------------- reduced *)
@@ -580,7 +599,8 @@ let test_mission_peak () =
       { Matex.duration = 0.5; psi = psi_vec [| 0.6; 0.6; 0.6 |] };
     ]
   in
-  let peak, final = Matex.mission_peak m mission in
+  let b = Backend.of_model m in
+  let peak, final = Trace.mission_peak b mission in
   (* Cross-check against the burst-end temperature computed directly. *)
   let after_boot =
     Model.step m ~dt:0.2 ~theta:(Vec.zeros 3) ~psi:(psi_vec [| 0.6; 0.6; 0.6 |])
@@ -590,14 +610,14 @@ let test_mission_peak () =
   in
   check_close 1e-6 "peak at end of burst" (Model.max_core_temp m after_burst) peak;
   Alcotest.(check bool) "settled below the peak" true
-    (Model.max_core_temp m final < peak -. 5.)
+    (b.max_core_temp final < peak -. 5.)
 
 (* ---------------------------------------------------------------- trace *)
 
 let test_trace_from_ambient_monotone_warmup () =
   let m = model3 () in
   let p = [ { Matex.duration = 0.1; psi = psi_vec [| 1.3; 1.3; 1.3 |] } ] in
-  let samples = Thermal.Trace.from_ambient m ~periods:5 ~samples_per_segment:4 p in
+  let samples = Trace.from_ambient (Backend.of_model m) ~periods:5 ~samples_per_segment:4 p in
   Alcotest.(check int) "sample count" 21 (Array.length samples);
   check_close 1e-9 "starts at ambient" 35. samples.(0).Thermal.Trace.core_temps.(0);
   let ok = ref true in
@@ -625,6 +645,89 @@ let test_trace_peak () =
     |]
   in
   check_close 1e-12 "peak over trace" 40.5 (Thermal.Trace.peak samples)
+
+(* Degenerate trajectory inputs are rejected, not answered with one
+   sample, the iteration cap or [None] — on both engines. *)
+let test_trace_rejects_degenerate_inputs () =
+  let m = model3 () in
+  let p = [ { Matex.duration = 0.1; psi = psi_vec [| 1.3; 0.6; 1.3 |] } ] in
+  let raises msg f =
+    Alcotest.(check bool) msg true
+      (match f () with exception Invalid_argument _ -> true | _ -> false)
+  in
+  List.iter
+    (fun (name, b) ->
+      let tag what = Printf.sprintf "%s: %s" name what in
+      List.iter
+        (fun samples ->
+          let tag what = tag (Printf.sprintf "%s samples %d" what samples) in
+          raises (tag "from_ambient") (fun () ->
+              Trace.from_ambient b ~periods:2 ~samples_per_segment:samples p);
+          raises (tag "stable_core_trace") (fun () ->
+              Trace.stable_core_trace b ~samples_per_segment:samples p);
+          raises (tag "time_to_threshold") (fun () ->
+              Trace.time_to_threshold b ~samples_per_segment:samples ~threshold:60. p);
+          raises (tag "mission_peak") (fun () ->
+              Trace.mission_peak b ~samples_per_segment:samples p);
+          raises (tag "peak_refined") (fun () ->
+              Trace.peak_refined b ~samples_per_segment:samples ~tol:1e-4 p))
+        [ 0; -2 ];
+      raises (tag "time_to_threshold NaN threshold") (fun () ->
+          Trace.time_to_threshold b ~threshold:Float.nan p);
+      raises (tag "from_ambient empty profile") (fun () ->
+          Trace.from_ambient b ~periods:1 ~samples_per_segment:4 []);
+      raises (tag "mission_peak NaN duration") (fun () ->
+          Trace.mission_peak b [ { Matex.duration = Float.nan; psi = psi_vec [| 1.3; 1.3; 1.3 |] } ]);
+      raises (tag "mission_peak wrong arity") (fun () ->
+          Trace.mission_peak b [ { Matex.duration = 0.1; psi = [| 1. |] } ]))
+    [
+      ("dense", Backend.of_model m);
+      ( "sparse",
+        Backend.of_response (Thermal.Sparse_response.make (Thermal.Sparse_model.of_model m)) );
+    ];
+  List.iter
+    (fun tol ->
+      raises (Printf.sprintf "periods_to_stable tol %g" tol) (fun () ->
+          Trace.periods_to_stable m ~tol p))
+    [ 0.; -1e-6; Float.nan; Float.infinity ];
+  List.iter
+    (fun dt ->
+      raises (Printf.sprintf "integrate_theta dt %g" dt) (fun () ->
+          Model.integrate_theta m ~dt ~theta:(Vec.zeros 3) ~psi:(psi_vec [| 1.3; 1.3; 1.3 |])))
+    [ -0.1; Float.nan; Float.infinity ]
+
+(* The engine trajectories agree with the theta-space oracle on both
+   engines: a warm-up from ambient against repeated Model.step periods. *)
+let test_trace_engines_match_oracle () =
+  let m = model3 () in
+  let p =
+    [
+      { Matex.duration = 0.04; psi = psi_vec [| 1.3; 0.6; 1.3 |] };
+      { Matex.duration = 0.06; psi = psi_vec [| 0.6; 1.3; 0.6 |] };
+    ]
+  in
+  let oracle = ref (Vec.zeros 3) and expected = ref [] in
+  for _ = 1 to 3 do
+    let states = Matex.simulate m ~theta0:!oracle p in
+    oracle := states.(Array.length states - 1);
+    expected := Model.core_temps_of_theta m !oracle :: !expected
+  done;
+  List.iter
+    (fun (name, b) ->
+      let trace = Trace.from_ambient b ~periods:3 ~samples_per_segment:4 p in
+      List.iteri
+        (fun k temps ->
+          (* Period k ends at sample 8 (k + 1). *)
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: period %d end = oracle" name (k + 1))
+            true
+            (Vec.approx_equal ~tol:1e-9 temps trace.(8 * (k + 1)).Trace.core_temps))
+        (List.rev !expected))
+    [
+      ("dense", Backend.of_model m);
+      ( "sparse",
+        Backend.of_response (Thermal.Sparse_response.make (Thermal.Sparse_model.of_model m)) );
+    ]
 
 let () =
   Alcotest.run "thermal"
@@ -706,5 +809,9 @@ let () =
           Alcotest.test_case "monotone warm-up" `Quick test_trace_from_ambient_monotone_warmup;
           Alcotest.test_case "periods to stable" `Quick test_trace_periods_to_stable;
           Alcotest.test_case "trace peak" `Quick test_trace_peak;
+          Alcotest.test_case "degenerate inputs rejected" `Quick
+            test_trace_rejects_degenerate_inputs;
+          Alcotest.test_case "engines = theta-space oracle" `Quick
+            test_trace_engines_match_oracle;
         ] );
     ]

@@ -136,7 +136,10 @@ let test_phases_replay_through_model () =
       ~levels:(Power.Vf.table_iv 5)
   in
   let map = Thermal.Ptrace.columns_for_model trace names in
-  let temps = Thermal.Ptrace.replay model trace ~interval:0.02 ~column_map:map in
+  let temps =
+    Thermal.Ptrace.replay (Thermal.Backend.of_model model) trace ~interval:0.02
+      ~column_map:map
+  in
   let peak = Thermal.Trace.peak temps in
   Alcotest.(check bool) "temperatures in a physical band" true (peak > 36. && peak < 80.)
 
@@ -154,7 +157,26 @@ let test_phases_validation () =
   Alcotest.(check bool) "empty phases rejected" true
     (match Workload.Phases.mean_utilization [] with
     | exception Invalid_argument _ -> true
-    | _ -> false)
+    | _ -> false);
+  (* NaN and infinite times are rejected, not turned into a 0-row
+     trace. *)
+  List.iter
+    (fun (what, duration, dt) ->
+      Alcotest.(check bool) (what ^ " rejected") true
+        (match
+           Workload.Phases.generate rng ~phases:Workload.Phases.default_phases
+             ~names:[| "a" |] ~duration ~dt ~power:Power.Power_model.default
+             ~levels:(Power.Vf.table_iv 2)
+         with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [
+      ("NaN dt", 1., Float.nan);
+      ("infinite dt", 1., Float.infinity);
+      ("NaN duration", Float.nan, 0.1);
+      ("infinite duration", Float.infinity, 0.1);
+      ("zero dt", 1., 0.);
+    ]
 
 let test_configs_layouts () =
   List.iter
