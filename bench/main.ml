@@ -52,7 +52,7 @@ let tests () =
     Workload.Random_sched.step_up rng ~n_cores:9 ~period:9.836 ~max_intervals:5
       ~levels:(Power.Vf.table_iv 5)
   in
-  let profile9 = Sched.Peak.profile (Thermal.Backend.of_model model9) pm sched9 in
+  let profile9 = Sched.Peak.profile ~n_cores:9 pm sched9 in
   let sched2 =
     Sched.Schedule.two_mode ~period:0.1 ~low:[| 0.6; 0.6 |] ~high:[| 1.3; 1.3 |]
       ~high_ratio:[| 0.5; 0.5 |]
@@ -293,10 +293,9 @@ let tests () =
        Thermal.Sparse_model.of_spec
          (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ())
      in
-     let sparse64 =
-       Thermal.Backend.of_response (Thermal.Sparse_response.make eng64)
-     in
-     let rom64 = Thermal.Reduced.of_engine eng64 in
+     let resp64 = Thermal.Sparse_response.make eng64 in
+     let sparse64 = Thermal.Backend.of_response resp64 in
+     let rom64 = Thermal.Reduced.of_engine resp64 in
      let low = Array.make 64 0.8 and high = Array.make 64 1.3 in
      let high_ratio =
        Array.init 64 (fun i -> 0.2 +. (0.6 *. float_of_int (i mod 8) /. 7.))
@@ -323,7 +322,9 @@ let tests () =
        Thermal.Sparse_model.of_spec
          (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ())
      in
-     let rom64 = Thermal.Reduced.of_engine eng64 in
+     let rom64 =
+       Thermal.Reduced.of_engine (Thermal.Sparse_response.make eng64)
+     in
      let low = Array.make 64 0.8 and high = Array.make 64 1.3 in
      let high_ratio =
        Array.init 64 (fun i -> 0.2 +. (0.6 *. float_of_int (i mod 8) /. 7.))
@@ -365,10 +366,9 @@ let tests () =
        Thermal.Sparse_model.of_spec
          (Thermal.Grid_model.sheet_spec ~rows:16 ~cols:16 ())
      in
-     let sparse256 =
-       Thermal.Backend.of_response (Thermal.Sparse_response.make eng256)
-     in
-     let rom256 = Thermal.Reduced.of_engine eng256 in
+     let resp256 = Thermal.Sparse_response.make eng256 in
+     let sparse256 = Thermal.Backend.of_response resp256 in
+     let rom256 = Thermal.Reduced.of_engine resp256 in
      let low = Array.make 256 0.8 and high = Array.make 256 1.3 in
      let high_ratio =
        Array.init 256 (fun i -> 0.2 +. (0.6 *. float_of_int (i mod 16) /. 15.))
@@ -388,15 +388,14 @@ let tests () =
                  ()))));
     (* One-time response-engine assembly at 256 cells: the n_cores + 1
        pool-parallel unit CG solves a platform pays before its first
-       candidate — [build], not the memoized [make], so every run pays
-       the real assembly. *)
+       candidate. *)
     (let eng256 =
        Thermal.Sparse_model.of_spec
          (Thermal.Grid_model.sheet_spec ~rows:16 ~cols:16 ())
      in
      Test.make ~name:"kernel/sparse-response-build-256"
        (Staged.stage (fun () ->
-            ignore (Thermal.Sparse_response.build eng256))));
+            ignore (Thermal.Sparse_response.make eng256))));
     (* Prepared-base delta scan at 64 cells (DESIGN.md §14): one TPT
        adjust-style inner iteration priced the delta way — prepare the
        base once, score all 64 single-core duty-cycle candidates off
@@ -515,7 +514,7 @@ let tests () =
             ignore
               (Core.Tpt.fill_headroom ev ~par:false
                  ~t_unit:(period /. 4.) ~delta_margin:1.0 c0))));
-    (let profile3 = Sched.Peak.profile dense3 pm (Sched.Schedule.two_mode ~period:0.1 ~low:[| 0.6; 0.6; 0.6 |] ~high:[| 1.3; 1.3; 1.3 |] ~high_ratio:[| 0.4; 0.5; 0.6 |]) in
+    (let profile3 = Sched.Peak.profile ~n_cores:3 pm (Sched.Schedule.two_mode ~period:0.1 ~low:[| 0.6; 0.6; 0.6 |] ~high:[| 1.3; 1.3; 1.3 |] ~high_ratio:[| 0.4; 0.5; 0.6 |]) in
      Test.make ~name:"ext/peak-refined-3core"
        (Staged.stage (fun () ->
             ignore

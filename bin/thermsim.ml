@@ -78,7 +78,7 @@ let run_two_mode ~model ~layered ~v_low ~v_high ~high_ratio ~period ~periods ~cs
       ~high_ratio:(Array.make n high_ratio)
   in
   let b = Thermal.Backend.of_model model in
-  let profile = Sched.Peak.profile b pm schedule in
+  let profile = Sched.Peak.profile ~n_cores:b.n_cores pm schedule in
   let trace = Thermal.Trace.from_ambient b ~periods ~samples_per_segment:16 profile in
   banner ();
   print_model_summary ~layered model;

@@ -20,19 +20,20 @@ type t = {
      the build under a mutex and is one atomic read thereafter. *)
   backend : Thermal.Backend.t Util.Once.t;
       (* The one engine every exact and delta evaluator runs on, chosen
-         by [kind].  [Dense] wraps the model's memoized modal engine;
-         [Sparse] wraps [response] and never forces the O(n³)
-         eigensolve. *)
+         by [kind].  [Dense] wraps [modal]; [Sparse] wraps [response]
+         and never forces the O(n³) eigensolve. *)
+  modal : Thermal.Modal.t Util.Once.t;
+      (* The context's own modal engine, the one [engine] returns. *)
   sparse : Thermal.Sparse_model.t Util.Once.t;
       (* The Krylov engine of the model's spec, assembled on the
          context's pool — shared by the response engine and the
          reduction, so both superpose/project over one operator.  Never
          forced by a [Dense] context. *)
   response : Thermal.Sparse_response.t Util.Once.t;
-      (* Superposition tables over [sparse] ([Thermal.Sparse_response.make]
-         memoizes per engine). *)
+      (* Superposition tables over [sparse], shared by the Sparse
+         backend and the reduction's static tier. *)
   rom : Thermal.Reduced.t Util.Once.t;
-      (* The Lanczos-reduced screening model over [sparse]. *)
+      (* The Lanczos-reduced screening model over [response]. *)
 }
 
 type stats = {
@@ -45,6 +46,9 @@ let create ?pool ?(cache_size = 1024) ?(backend = Dense) ?(screen_margin = 0.)
   if not (screen_margin >= 0.) then
     invalid_arg "Eval.create: negative screen_margin";
   let pool = match pool with Some p -> p | None -> Util.Pool.get () in
+  let modal =
+    Util.Once.make (fun () -> Thermal.Modal.make platform.Platform.model)
+  in
   let sparse =
     Util.Once.make (fun () ->
         Thermal.Sparse_model.of_model ~pool platform.Platform.model)
@@ -60,22 +64,23 @@ let create ?pool ?(cache_size = 1024) ?(backend = Dense) ?(screen_margin = 0.)
     stepup_cache = Sched.Peak.Cache.create ~max_entries:cache_size ();
     kind = backend;
     screen_margin;
+    modal;
     sparse;
     response;
     rom =
       Util.Once.make (fun () ->
-          Thermal.Reduced.of_engine (Util.Once.get sparse));
+          Thermal.Reduced.of_engine (Util.Once.get response));
     backend =
       Util.Once.make (fun () ->
           match backend with
-          | Dense -> Thermal.Backend.of_model platform.Platform.model
+          | Dense -> Thermal.Backend.of_modal (Util.Once.get modal)
           | Sparse -> Thermal.Backend.of_response (Util.Once.get response));
   }
 
 let platform t = t.platform
 let pool t = t.pool
 let kind t = t.kind
-let engine t = Thermal.Modal.make t.platform.Platform.model
+let engine t = Util.Once.get t.modal
 let backend t = Util.Once.get t.backend
 
 let power t = t.platform.Platform.power
@@ -126,16 +131,9 @@ let screening t =
   | Dense -> None
   | Sparse ->
       if t.screen_margin > 0. then begin
-        (* Force the screening models on the submitting domain NOW.
-           The context's own cells are domain-safe [Util.Once] values,
-           but [Reduced] keeps a true [Lazy] for its inner static tier
-           (forced once per reduction, on this domain, per the
-           [@fosc.forced_before_parallel] contract): [Reduced.prepare]
-           must run here so pool workers only ever read the
-           already-forced value.  Forcing up front also keeps the first
-           ROM scores from serializing behind the builds. *)
-        ignore (Util.Once.get t.response : Thermal.Sparse_response.t);
-        Thermal.Reduced.prepare (Util.Once.get t.rom);
+        (* Build the reduction (and the response under it) up front, so
+           the first ROM scores do not serialize behind the builds. *)
+        ignore (Util.Once.get t.rom : Thermal.Reduced.t);
         Some t.screen_margin
       end
       else None
@@ -174,7 +172,7 @@ let response_stats t =
   match t.kind with
   | Sparse -> None
   | Dense ->
-      if Util.Once.is_forced t.backend then
+      if Util.Once.is_forced t.modal then
         Some (Thermal.Modal.stats (engine t))
       else None
 

@@ -79,12 +79,12 @@ val kind : t -> backend_kind
     it. *)
 val backend : t -> Thermal.Backend.t
 
-(** [engine t] is the platform's {!Thermal.Modal} response engine
-    ({!Thermal.Modal.make}, memoized per model, so it is built on the
-    first call).  It is the engine a [Dense] context's record wraps —
-    cached and uncached evaluations superpose over identical
-    unit-response tables, keeping their results bit-compatible.
-    Calling it on a [Sparse] context pays the dense eigensolve. *)
+(** [engine t] is the context's own {!Thermal.Modal} response engine,
+    built on the first call and returned by every later one.  It is the
+    engine a [Dense] context's record wraps, so its counters see every
+    evaluation the context makes.  Engines of the same model built
+    elsewhere are distinct values with bitwise-equal results.  Calling
+    it on a [Sparse] context pays the dense eigensolve. *)
 val engine : t -> Thermal.Modal.t
 
 (** [steady_peak t voltages] is the memoized
@@ -188,11 +188,8 @@ val two_mode_delta_temp_at :
 
 (** [screening t] is [Some margin] when this context wants two-tier
     screened sweeps ([Sparse] backend, positive [screen_margin]),
-    [None] otherwise.  Forces the screening models on the calling
-    domain before returning: the context's own cells are domain-safe
-    {!Util.Once} values, but {!Thermal.Reduced} keeps an inner [Lazy]
-    tier that must be forced here, on the submitting domain, before any
-    pool worker can reach it. *)
+    [None] otherwise.  Builds the screening model (over the context's
+    response engine) before returning [Some]. *)
 val screening : t -> float option
 
 (** [rom_two_mode_peak t ~period ~low ~high ~high_ratio] is the
@@ -223,11 +220,10 @@ val sparse_response_stats : t -> Thermal.Sparse_response.stats option
 (** [response_stats t] snapshots the modal response-engine counters
     (superposition evaluations, decay-table hits/misses, and the
     process-wide engine build count) — [Some] only for a [Dense] context
-    whose engine record has actually been built (never forces it, so
-    asking a [Sparse] context costs no eigensolve; see
-    {!sparse_response_stats} for its engine).  Engines are shared per
-    model, so the per-engine counters reflect every evaluation on this
-    platform since its engine was built, not just this context's. *)
+    whose engine has actually been built (never forces it, so asking a
+    [Sparse] context costs no eigensolve; see {!sparse_response_stats}
+    for its engine).  The engine belongs to this context, so the
+    per-engine counters count this context's evaluations only. *)
 val response_stats : t -> Thermal.Modal.stats option
 
 (** [hit_rate t] is the fraction of all lookups (both tables) answered

@@ -15,12 +15,11 @@ let run ?(seed = 7) ?(m_max = 50) () =
     Workload.Random_sched.step_up rng ~n_cores:9 ~period:9.836 ~max_intervals:5
       ~levels:(Power.Vf.table_iv 5)
   in
+  let b = Thermal.Backend.of_model model in
   let series =
     List.init m_max (fun k ->
         let m = k + 1 in
-        ( m,
-          Sched.Peak.of_step_up (Thermal.Backend.of_model model) pm
-            (Sched.Oscillate.oscillate m schedule) ))
+        (m, Sched.Peak.of_step_up b pm (Sched.Oscillate.oscillate m schedule)))
   in
   let monotone =
     let rec check = function

@@ -151,7 +151,7 @@ let intervals_profile ~who ~n_cores pm s =
       { Thermal.Matex.duration; psi = Power.Power_model.psi_vector_memo pm voltages })
     (Schedule.state_intervals s)
 
-let profile (b : B.t) pm s = intervals_profile ~who:"profile" ~n_cores:b.B.n_cores pm s
+let profile ~n_cores pm s = intervals_profile ~who:"profile" ~n_cores pm s
 
 (* The cached entry points build their (exact, bit-pattern) key only
    when the table stores anything: a disabled table just records the
@@ -169,19 +169,20 @@ let steady_constant_cached cache b pm voltages =
 
 let of_step_up (b : B.t) pm s =
   if not (Stepup.is_step_up s) then invalid_arg "Peak.of_step_up: schedule is not step-up";
-  b.B.max_core_temp (B.stable_state b (profile b pm s))
+  b.B.max_core_temp (B.stable_state b (profile ~n_cores:b.B.n_cores pm s))
 
 let of_step_up_cached cache b pm s =
   cached cache (fun () -> Cache.key_of_schedule s) (fun () -> of_step_up b pm s)
 
 let of_any (b : B.t) pm ?(samples_per_segment = 32) s =
-  b.B.peak_scan ~samples_per_segment (profile b pm s)
+  b.B.peak_scan ~samples_per_segment (profile ~n_cores:b.B.n_cores pm s)
 
 let of_any_refined b pm ?(samples_per_segment = 32) ?(tol = 1e-4) s =
-  Thermal.Trace.peak_refined b ~samples_per_segment ~tol (profile b pm s)
+  Thermal.Trace.peak_refined b ~samples_per_segment ~tol
+    (profile ~n_cores:b.B.n_cores pm s)
 
 let stable_end_core_temps (b : B.t) pm s =
-  b.B.core_temps (B.stable_state b (profile b pm s))
+  b.B.core_temps (B.stable_state b (profile ~n_cores:b.B.n_cores pm s))
 
 (* ------------------------------------------ fused two-mode evaluation *)
 

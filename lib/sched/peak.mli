@@ -8,11 +8,11 @@
     Every evaluator is written once, over the engine record
     {!Thermal.Backend.t}: pass {!Thermal.Backend.of_model} for the dense
     modal engine or {!Thermal.Backend.of_response} for the sparse
-    superposition engine.  A caller holding only a model passes
-    [Thermal.Backend.of_model model], which is as cheap as
-    {!Thermal.Modal.make}.  The cache digests do not depend on the
-    engine, so an evaluation context keeps the same bit-pattern memo
-    semantics on both; only the floats a miss computes differ.
+    superposition engine.  Each {!Thermal.Backend.of_model} call builds
+    an engine, so a caller holding only a model builds the record once
+    and passes it to every evaluation.  The cache digests do not depend
+    on the engine, so an evaluation context keeps the same bit-pattern
+    memo semantics on both; only the floats a miss computes differ.
 
     {b The [t_p] rule.}  Every exact stable-status solve — of a schedule's
     profile or of a fused two-mode candidate — takes as its period the
@@ -73,11 +73,11 @@ module Cache : sig
   val find_or_add : t -> string -> (unit -> float) -> float
 end
 
-(** [profile b pm s] converts a schedule into the piecewise-constant
+(** [profile ~n_cores pm s] converts a schedule into the piecewise-constant
     power profile of its state intervals.  Raises [Invalid_argument] when
-    the schedule's core count differs from the engine's. *)
+    the schedule's core count differs from [n_cores]. *)
 val profile :
-  Thermal.Backend.t -> Power.Power_model.t -> Schedule.t -> Thermal.Matex.profile
+  n_cores:int -> Power.Power_model.t -> Schedule.t -> Thermal.Matex.profile
 
 (** [steady_constant b pm voltages] is the constant-schedule peak: the
     hottest entry of [T^inf] under per-core voltages — Algorithm 1's

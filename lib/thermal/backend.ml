@@ -30,12 +30,12 @@ type t = {
    the evaluators call these once per fed span, and a saturated closure
    call skips the runtime's currying path. *)
 
-let of_model model =
-  let eng = Modal.make model in
+let of_modal eng =
+  let model = Modal.model eng in
   let n = Model.n_nodes model in
   (* Modal images of a +1 K bump at each core node (one matvec per
-     core), built on the first correction so that wrapping stays as
-     cheap as [Modal.make].  Domains racing on the first correction
+     core), built on the first correction so that wrapping an engine
+     stays free.  Domains racing on the first correction
      compute identical tables and one store wins.  Reading the
      corrected state back through the core rows of W recovers the bump
      exactly: core_rows . W^{-1} e_node = e_core. *)
@@ -98,6 +98,8 @@ let of_model model =
       (fun ~at ~core ~psi_low ~psi_high ~high_ratio ->
         Modal.delta_core_temp eng ~at ~core ~psi_low ~psi_high ~high_ratio);
   }
+
+let of_model model = of_modal (Modal.make model)
 
 let of_response resp =
   let eng = Sparse_response.engine resp in

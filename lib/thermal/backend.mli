@@ -89,10 +89,14 @@ type t = {
       (** The same candidate's end-of-period temperature at core [at]. *)
 }
 
-(** [of_model model] is the dense reference backend: the model's cached
-    {!Modal} response engine ({!Modal.make}, memoized per model) behind
-    the record.  As cheap to call repeatedly as {!Modal.make}: the
-    state-correction table is built on first use. *)
+(** [of_modal eng] is the dense reference backend over a {!Modal}
+    response engine.  Wrapping is free (the state-correction table is
+    built on first use), so one engine can sit behind several records. *)
+val of_modal : Modal.t -> t
+
+(** [of_model model] is {!of_modal} over a new engine ({!Modal.make}):
+    a full engine build per call, so build the record once and reuse it
+    (a [Core.Eval] context holds one). *)
 val of_model : Model.t -> t
 
 (** [of_response resp] is the sparse backend over a {!Sparse_response}

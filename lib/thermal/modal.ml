@@ -10,8 +10,8 @@ type stats = {
   delta_evals : int;
 }
 
-(* Per-domain scratch, sized to the engine.  Pool workers each see
-   their own set through Domain.DLS, so the streaming stable-status
+(* Per-domain scratch, sized to and owned by the engine ([Util.Scratch]).
+   Pool workers each see their own set, so the streaming stable-status
    evaluation below is allocation-free without any locking — and two
    domains can never observe each other's partial sums.
 
@@ -69,7 +69,7 @@ type t = {
   steady_rows : float array array;
   (* row k: theta_inf responses read at core k, indexed by driving core
      i — the constant-voltage steady peak needs only these entries. *)
-  scratch_key : scratch Domain.DLS.key;
+  scratch : scratch Util.Scratch.t;
   superpose_evals : int Atomic.t;
   exp_hits : int Atomic.t;
   exp_misses : int Atomic.t;
@@ -79,7 +79,7 @@ type t = {
 
 let build_count = Atomic.make 0
 
-let build model =
+let make model =
   let lambda, w, w_inv = Model.modal_parts model in
   let n = Vec.dim lambda in
   let cores = Model.core_nodes model in
@@ -110,8 +110,8 @@ let build model =
     steady_rows =
       Array.init n_cores (fun k ->
           Array.init n_cores (fun i -> units.(i).(cores.(k))));
-    scratch_key =
-      Domain.DLS.new_key (fun () ->
+    scratch =
+      Util.Scratch.make (fun () ->
           {
             d = Array.make n 0.;
             z_eq = Array.make n 0.;
@@ -138,39 +138,6 @@ let build model =
     base_solves = Atomic.make 0;
     delta_evals = Atomic.make 0;
   }
-
-(* Engines are cached per model (physical identity): the unit-response
-   build costs one LU solve per core, and every policy evaluation on a
-   platform wants the same tables.  The registry is a small bounded FIFO
-   so processes that churn through many models (property tests) stay
-   bounded; an evicted engine keeps working for holders of the old
-   reference, it just stops being shared. *)
-let engines_capacity = 16
-let engines_lock = Mutex.create ()
-let engines : (Model.t * t) list ref =
-  ref [] [@@fosc.guarded "mutex"] (* engines_lock *)
-
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
-let make model =
-  Mutex.lock engines_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock engines_lock)
-    (fun () ->
-      match List.find_opt (fun (m, _) -> m == model) !engines with
-      | Some (_, eng) -> eng
-      | None ->
-          (* Built under the lock: construction is a handful of
-             cached-LU solves (which can raise on a degenerate model,
-             hence the [Fun.protect]), and serializing first use per
-             model keeps exactly one engine (one stats stream, one exp
-             table) per platform. *)
-          let eng = build model in
-          engines := (model, eng) :: take (engines_capacity - 1) !engines;
-          eng)
 
 let model t = t.model
 let n_modes t = t.n
@@ -232,7 +199,7 @@ let steady_peak t psi =
     for i = 0 to nc - 1 do
       acc := !acc +. ((psi.(i) +. t.beta_tamb) *. Array.unsafe_get row i)
     done;
-    if !acc > !best then best := !acc
+    if !acc > !best || Float.is_nan !acc then best := !acc
   done;
   !best +. t.ambient
 
@@ -267,7 +234,25 @@ let[@inline] decay_row t (s : scratch) dt =
   end;
   base
 
+(* The decay-table tallies, flushed to the engine's atomics once per
+   public call so the hot loops perform no atomic traffic. *)
+let flush_tallies t (s : scratch) =
+  if s.tally_hits <> 0 then begin
+    ignore (Atomic.fetch_and_add t.exp_hits s.tally_hits);
+    s.tally_hits <- 0
+  end;
+  if s.tally_misses <> 0 then begin
+    ignore (Atomic.fetch_and_add t.exp_misses s.tally_misses);
+    s.tally_misses <- 0
+  end
+
+(* [not (dt > 0.)], not [dt <= 0.]: NaN fails every comparison. *)
+let check_duration who ~zero_ok dt =
+  if not ((if zero_ok then dt >= 0. else dt > 0.) && dt < Float.infinity) then
+    invalid_arg (Printf.sprintf "Modal.%s: bad duration %g" who dt)
+
 let step t ~dt ~z ~psi =
+  check_duration "step" ~zero_ok:true dt;
   if Vec.dim z <> t.n then invalid_arg "Modal.step: bad state arity";
   let zi = z_inf t psi in
   Array.init t.n (fun j -> zi.(j) +. (exp (t.lambda.(j) *. dt) *. (z.(j) -. zi.(j))))
@@ -278,11 +263,11 @@ let step t ~dt ~z ~psi =
    table read).  The tallies flush per call — stepping happens outside
    the streaming stable-status evaluation, so nothing else will. *)
 let step_into t ~dt ~z ~psi ~dst =
-  if dt < 0. then invalid_arg "Modal.step_into: negative duration";
+  check_duration "step_into" ~zero_ok:true dt;
   if Vec.dim z <> t.n || Vec.dim dst <> t.n then
     invalid_arg "Modal.step_into: bad state arity";
   if z == dst then invalid_arg "Modal.step_into: dst must not alias z";
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Scratch.get t.scratch in
   let base = decay_row t s dt in
   z_inf_into t dst psi;
   let dvals = s.dvals in
@@ -292,14 +277,7 @@ let step_into t ~dt ~z ~psi ~dst =
       (zi
       +. (Array.unsafe_get dvals (base + j) *. (Array.unsafe_get z j -. zi)))
   done;
-  if s.tally_hits <> 0 then begin
-    ignore (Atomic.fetch_and_add t.exp_hits s.tally_hits);
-    s.tally_hits <- 0
-  end;
-  if s.tally_misses <> 0 then begin
-    ignore (Atomic.fetch_and_add t.exp_misses s.tally_misses);
-    s.tally_misses <- 0
-  end
+  flush_tallies t s
 
 let core_temps t z =
   if Vec.dim z <> t.n then invalid_arg "Modal.core_temps: bad state arity";
@@ -315,7 +293,8 @@ let max_core_temp t z =
     for j = 0 to cols - 1 do
       acc := !acc +. (Array.unsafe_get data (off + j) *. Array.unsafe_get z j)
     done;
-    if !acc > !best then best := !acc
+    (* Not a bare [>]: a NaN state must read as a NaN peak. *)
+    if !acc > !best || Float.is_nan !acc then best := !acc
   done;
   !best +. t.ambient
 
@@ -329,12 +308,12 @@ let max_core_temp t z =
    exponentials. *)
 
 let stable_begin t =
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Scratch.get t.scratch in
   Array.fill s.d 0 t.n 0.
 
 let stable_feed t ~duration ~psi =
-  if duration <= 0. then invalid_arg "Modal.stable_feed: non-positive duration";
-  let s = Domain.DLS.get t.scratch_key in
+  check_duration "stable_feed" ~zero_ok:false duration;
+  let s = Util.Scratch.get t.scratch in
   let base = decay_row t s duration in
   z_inf_into t s.z_eq psi;
   let dvals = s.dvals in
@@ -347,7 +326,8 @@ let stable_feed t ~duration ~psi =
 let stable_solve t ~t_p =
   (* z*_j = d_j / (1 - e^{lambda_j t_p}); the denominator is exactly the
      gain factor of a [t_p]-long segment, so it shares the table. *)
-  let s = Domain.DLS.get t.scratch_key in
+  check_duration "stable_solve" ~zero_ok:false t_p;
+  let s = Util.Scratch.get t.scratch in
   let base = decay_row t s t_p in
   let dvals = s.dvals in
   for j = 0 to t.n - 1 do
@@ -356,14 +336,7 @@ let stable_solve t ~t_p =
   done;
   (* One flush per candidate keeps the shared stats observable without
      per-span atomic traffic from every pool worker. *)
-  if s.tally_hits <> 0 then begin
-    ignore (Atomic.fetch_and_add t.exp_hits s.tally_hits);
-    s.tally_hits <- 0
-  end;
-  if s.tally_misses <> 0 then begin
-    ignore (Atomic.fetch_and_add t.exp_misses s.tally_misses);
-    s.tally_misses <- 0
-  end;
+  flush_tallies t s;
   (s.z_star
   [@fosc.dls_ok
     "documented borrow of this domain's scratch (see modal.mli): valid until \
@@ -381,13 +354,13 @@ let stable_solve t ~t_p =
    rounding. *)
 
 let scan_begin t =
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Scratch.get t.scratch in
   Array.blit s.z_star 0 s.z_cur 0 t.n
 
 let scan_feed t ~samples ~duration ~psi =
-  if duration <= 0. then invalid_arg "Modal.scan_feed: non-positive duration";
+  check_duration "scan_feed" ~zero_ok:false duration;
   if samples < 1 then invalid_arg "Modal.scan_feed: non-positive sample count";
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Scratch.get t.scratch in
   z_inf_into t s.z_eq psi;
   let { Mat.rows; cols; data } = t.core_rows in
   let best = ref neg_infinity in
@@ -468,16 +441,6 @@ let peak_scan t ~samples_per_segment (profile : Matex.profile) =
    the streaming stable_* state, so the exact winner verification the
    TPT loops interleave between candidates cannot clobber it. *)
 
-let flush_tallies t (s : scratch) =
-  if s.tally_hits <> 0 then begin
-    ignore (Atomic.fetch_and_add t.exp_hits s.tally_hits);
-    s.tally_hits <- 0
-  end;
-  if s.tally_misses <> 0 then begin
-    ignore (Atomic.fetch_and_add t.exp_misses s.tally_misses);
-    s.tally_misses <- 0
-  end
-
 (* Replicates [Sched.Peak.two_mode_decompose]'s ratio validation and
    boundary snapping (which itself replicates [Schedule.two_mode]), so
    the prepared-base path agrees with the exact decomposed path on
@@ -494,14 +457,14 @@ let two_mode_core_shape ~t_p ~high_ratio =
   else (0, ll)
 
 let base_begin t ~t_p =
-  if t_p <= 0. then invalid_arg "Modal.base_begin: non-positive period";
-  let s = Domain.DLS.get t.scratch_key in
+  check_duration "base_begin" ~zero_ok:false t_p;
+  let s = Util.Scratch.get t.scratch in
   s.base_t_p <- t_p;
   s.base_ready <- false;
   Array.fill s.base_mode 0 (Array.length s.base_mode) min_int
 
 let base_feed t ~core ~psi_low ~psi_high ~high_ratio =
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Scratch.get t.scratch in
   if s.base_t_p <= 0. then
     invalid_arg "Modal.base_feed: no base_begin on this domain";
   if core < 0 || core >= Array.length s.base_mode then
@@ -540,7 +503,7 @@ let w_into t (s : scratch) dst ~cl ~ch ~mode ~ll =
   end
 
 let base_solve t =
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Scratch.get t.scratch in
   if s.base_t_p <= 0. then
     invalid_arg "Modal.base_solve: no base_begin on this domain";
   let nc = Array.length s.base_mode in
@@ -639,7 +602,7 @@ let delta_into t (s : scratch) ~core ~psi_low ~psi_high ~high_ratio =
   flush_tallies t s
 
 let delta_solve t ~core ~psi_low ~psi_high ~high_ratio =
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Scratch.get t.scratch in
   delta_into t s ~core ~psi_low ~psi_high ~high_ratio;
   (s.z_cand
   [@fosc.dls_ok
@@ -648,7 +611,7 @@ let delta_solve t ~core ~psi_low ~psi_high ~high_ratio =
      domains"])
 
 let delta_peak t ~core ~psi_low ~psi_high ~high_ratio =
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Scratch.get t.scratch in
   delta_into t s ~core ~psi_low ~psi_high ~high_ratio;
   max_core_temp t s.z_cand
 
@@ -656,7 +619,7 @@ let delta_core_temp t ~at ~core ~psi_low ~psi_high ~high_ratio =
   let { Mat.rows; cols; data } = t.core_rows in
   if at < 0 || at >= rows then
     invalid_arg "Modal.delta_core_temp: core index out of range";
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Scratch.get t.scratch in
   delta_into t s ~core ~psi_low ~psi_high ~high_ratio;
   let off = at * cols in
   let acc = ref 0. in

@@ -3,8 +3,8 @@
     the [Runtime.Loop] plant simulation.
 
     {!Model.t} diagonalizes [A = W diag(lambda) W^{-1}] with real
-    negative [lambda] on first modal use ({!make} is that use, paid once
-    per model), so the whole simulation can run in modal
+    negative [lambda] on first modal use ({!make} is that use; the model
+    keeps the basis, so later engines of it skip the eigensolve), so the whole simulation can run in modal
     coordinates [z = W^{-1} theta], where propagating over ANY [dt] is an
     O(n) diagonal scale:
 
@@ -28,9 +28,10 @@
     evaluates a candidate's stable status into per-domain scratch
     buffers with no allocation at all.
 
-    {!make} caches one engine per model (physical identity), so repeated
-    evaluations on one platform share the tables; engines are safe to
-    share across domains ({!Domain.DLS} scratch, mutex-guarded tables).
+    Each {!make} builds a new engine; hold it (as [Core.Eval] does) to
+    share the tables across evaluations.  Engines are safe to share
+    across domains: each domain's scratch is owned by the engine
+    ({!Util.Scratch}) and dies with it.
     The theta-space {!Model.step} and {!Matex} evaluators are the
     oracle — the property tests diff the two paths to <= 1e-9. *)
 
@@ -50,10 +51,10 @@ type stats = {
   delta_evals : int;  (** Delta candidate evaluations. *)
 }
 
-(** [make model] returns the engine of [model], building it (the
-    model's eigenbasis if not yet built, then one LU solve per core for
-    the unit-response table) on first use and returning the cached
-    engine afterwards — amortized O(1). *)
+(** [make model] builds an engine of [model]: the model's eigenbasis if
+    not yet built (the model caches it), then one LU solve per core for
+    the unit-response table.  Two engines of one model are distinct
+    values whose results are bitwise equal. *)
 val make : Model.t -> t
 
 (** [model t] is the underlying thermal model. *)
@@ -99,7 +100,8 @@ val z_inf_into : t -> Linalg.Vec.t -> Linalg.Vec.t -> unit
 val steady_peak : t -> Linalg.Vec.t -> float
 
 (** [step t ~dt ~z ~psi] advances a modal state by [dt] under constant
-    powers [psi] — the O(n) counterpart of {!Model.step}. *)
+    powers [psi] — the O(n) counterpart of {!Model.step}.  Raises
+    [Invalid_argument] unless [dt] is non-negative and finite. *)
 val step : t -> dt:float -> z:Linalg.Vec.t -> psi:Linalg.Vec.t -> Linalg.Vec.t
 
 (** [step_into t ~dt ~z ~psi ~dst] writes {!step}'s result into [dst]
@@ -108,7 +110,7 @@ val step : t -> dt:float -> z:Linalg.Vec.t -> psi:Linalg.Vec.t -> Linalg.Vec.t
     table, so a control loop stepping at one fixed [dt] pays [n]
     multiply-adds per call.  Bit-identical to {!step}.  Raises
     [Invalid_argument] when [dst] aliases [z], on arity mismatches, or
-    on a negative [dt]. *)
+    unless [dt] is non-negative and finite. *)
 val step_into :
   t -> dt:float -> z:Linalg.Vec.t -> psi:Linalg.Vec.t -> dst:Linalg.Vec.t -> unit
 
@@ -118,7 +120,7 @@ val step_into :
 val core_temps : t -> Linalg.Vec.t -> Linalg.Vec.t
 
 (** [max_core_temp t z] is the hottest absolute core temperature of
-    modal state [z]; allocation-free. *)
+    modal state [z]; allocation-free.  NaN when [z] holds a NaN. *)
 val max_core_temp : t -> Linalg.Vec.t -> float
 
 (** {2 Streaming stable-status evaluation}
@@ -137,13 +139,14 @@ val max_core_temp : t -> Linalg.Vec.t -> float
 val stable_begin : t -> unit
 
 (** [stable_feed t ~duration ~psi] folds one constant-power segment into
-    the accumulator.  Raises [Invalid_argument] on non-positive
-    durations. *)
+    the accumulator.  Raises [Invalid_argument] unless [duration] is
+    positive and finite (NaN included). *)
 val stable_feed : t -> duration:float -> psi:Linalg.Vec.t -> unit
 
 (** [stable_solve t ~t_p] solves the per-mode fixed point for a period of
     [t_p] seconds and returns this domain's scratch stable status (valid
-    until the next streaming evaluation on this domain). *)
+    until the next streaming evaluation on this domain).  Raises
+    [Invalid_argument] unless [t_p] is positive and finite. *)
 val stable_solve : t -> t_p:float -> Linalg.Vec.t
 
 (** [peak_scan t ~samples_per_segment profile] is the hottest absolute
@@ -176,8 +179,8 @@ val peak_scan : t -> samples_per_segment:int -> Matex.profile -> float
     full evaluations agree to the differential suite's 1e-9. *)
 
 (** [base_begin t ~t_p] starts preparing a base config with period
-    [t_p] on this domain.  Raises [Invalid_argument] on a non-positive
-    period. *)
+    [t_p] on this domain.  Raises [Invalid_argument] unless [t_p] is
+    positive and finite. *)
 val base_begin : t -> t_p:float -> unit
 
 (** [base_feed t ~core ~psi_low ~psi_high ~high_ratio] records core

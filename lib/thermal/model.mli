@@ -155,8 +155,8 @@ val eigenbasis : t -> Linalg.Vec.t * Linalg.Mat.t * Linalg.Mat.t
 (** [modal_parts m] is [(lambda, w, w_inv)] like {!eigenbasis} but
     WITHOUT copying: the returned arrays are the model's own and must be
     treated as read-only.  O(1) once the eigenbasis exists (the first
-    call on a model builds it); this is what lets {!Modal.make} build an
-    evaluation engine for free on every later call. *)
+    call on a model builds it); this is what lets every later
+    {!Modal.make} on the model skip the eigensolve. *)
 val modal_parts : t -> Linalg.Vec.t * Linalg.Mat.t * Linalg.Mat.t
 
 (** [decomposed m] is [true] once [m]'s eigenbasis has been built — a

@@ -4,9 +4,9 @@ module Krylov = Linalg.Krylov
 
 (* Per-domain scratch for the streaming screening evaluators below:
    retained-mode drive accumulation and core-temperature reads, all
-   allocation-free.  Pool workers each see their own copy via
-   Domain.DLS, so concurrent candidate scores never share partial
-   sums. *)
+   allocation-free.  Pool workers each see their own copy, owned by the
+   reduction ([Util.Scratch]), so concurrent candidate scores never
+   share partial sums. *)
 type rom_scratch = {
   zd : float array;  (* accumulated per-mode periodic drive *)
   z_eq : float array;  (* current segment's retained equilibrium *)
@@ -25,15 +25,11 @@ type t = {
      the heat-input projection (w_j . b = sum_k cw_jk (psi_k + beta
      T_amb)) and the core-temperature read of mode j's contribution. *)
   beta_tamb : float;
-  response : Sparse_response.t Lazy.t;
-      [@fosc.forced_before_parallel
-        "callers must run [prepare] on the submitting domain before handing \
-         the reduction to pool workers (Core.Eval.screening does); workers \
-         then only ever read the already-forced cell"]
-  (* The static (quasi-steady) tier of the screening evaluators: forced
-     on first ROM evaluation, shared per engine via
-     [Sparse_response.make]. *)
-  rom_scratch_key : rom_scratch Domain.DLS.key;
+  response : Sparse_response.t;
+      (* The static (quasi-steady) tier of the screening evaluators: the
+         caller's response engine, so exact and ROM scores superpose
+         over one set of tables. *)
+  rom_scratch : rom_scratch Util.Scratch.t;
 }
 
 let default_modes mu =
@@ -48,11 +44,12 @@ let default_modes mu =
   done;
   Stdlib.min n (Stdlib.max 4 !count)
 
-let of_engine ?modes engine =
+let of_engine ?modes response =
+  let engine = Sparse_response.engine response in
   let n = Sparse_model.n_nodes engine in
   (match modes with
   | Some k when k < 1 || k > n ->
-      invalid_arg "Reduced.build: modes outside [1, n_nodes]"
+      invalid_arg "Reduced.of_engine: modes outside [1, n_nodes]"
   | _ -> ());
   (* With no explicit mode count, probe a few rates beyond the decade
      heuristic's floor and let [default_modes] truncate. *)
@@ -81,9 +78,9 @@ let of_engine ?modes engine =
             spec.Spec.core_nodes)
         basis;
     beta_tamb = spec.Spec.leak_beta *. spec.Spec.ambient;
-    response = lazy (Sparse_response.make engine);
-    rom_scratch_key =
-      Domain.DLS.new_key (fun () ->
+    response;
+    rom_scratch =
+      Util.Scratch.make (fun () ->
           {
             zd = Array.make k 0.;
             z_eq = Array.make k 0.;
@@ -94,13 +91,6 @@ let of_engine ?modes engine =
           });
   }
 
-let build ?modes model = of_engine ?modes (Sparse_model.of_model model)
-
-(* OCaml's [Lazy] is not domain-safe: concurrent forcing raises
-   [Lazy.RacyLazy].  Callers fanning rom evaluators across a pool must
-   force the static tier on the submitting domain first — workers then
-   only read the already-forced value, which is safe. *)
-let prepare r = ignore (Lazy.force r.response : Sparse_response.t)
 let n_modes r = Vec.dim r.mu
 let engine r = r.engine
 let decay_rates r = Vec.copy r.mu
@@ -150,13 +140,14 @@ let rom_z_inf_into r dst psi =
   done
 
 let rom_begin r =
-  let s = Domain.DLS.get r.rom_scratch_key in
+  let s = Util.Scratch.get r.rom_scratch in
   Array.fill s.zd 0 (n_modes r) 0.
 
 let rom_feed r ~duration ~psi =
-  if duration <= 0. then invalid_arg "Reduced.rom_feed: non-positive duration";
+  if not (duration > 0. && duration < Float.infinity) then
+    invalid_arg "Reduced.rom_feed: duration is not positive and finite";
   check_rom_psi r psi;
-  let s = Domain.DLS.get r.rom_scratch_key in
+  let s = Util.Scratch.get r.rom_scratch in
   rom_z_inf_into r s.z_eq psi;
   for j = 0 to n_modes r - 1 do
     let g = -.Float.expm1 (-.r.mu.(j) *. duration) in
@@ -165,12 +156,12 @@ let rom_feed r ~duration ~psi =
   (* The static tier remembers the last-fed segment: at the period
      boundary the truncated fast modes sit at the equilibrium of the
      input that drove them there. *)
-  Sparse_response.steady_core_into (Lazy.force r.response) s.th psi;
+  Sparse_response.steady_core_into r.response s.th psi;
   Array.blit s.z_eq 0 s.z_last 0 (n_modes r)
 
 let rom_solve r ~t_p =
   if not (t_p > 0.) then invalid_arg "Reduced.rom_solve: non-positive period";
-  let s = Domain.DLS.get r.rom_scratch_key in
+  let s = Util.Scratch.get r.rom_scratch in
   let k = n_modes r in
   (* z*_j in place of the drive (it is consumed here), then read the
      superposed peak: static part + retained-mode deviation. *)
@@ -200,9 +191,8 @@ let rom_peak_scan r ?(samples_per_segment = 32) profile =
   (match profile with [] -> invalid_arg "Reduced.rom_peak_scan: empty profile" | _ -> ());
   if samples_per_segment < 1 then
     invalid_arg "Reduced.rom_peak_scan: non-positive sample count";
-  let resp = Lazy.force r.response in
   let k = n_modes r in
-  let s = Domain.DLS.get r.rom_scratch_key in
+  let s = Util.Scratch.get r.rom_scratch in
   rom_begin r;
   List.iter
     (fun (seg : Matex.segment) -> rom_feed r ~duration:seg.duration ~psi:seg.psi)
@@ -219,7 +209,7 @@ let rom_peak_scan r ?(samples_per_segment = 32) profile =
   List.iter
     (fun (seg : Matex.segment) ->
       rom_z_inf_into r s.z_eq seg.psi;
-      Sparse_response.steady_core_into resp s.th seg.psi;
+      Sparse_response.steady_core_into r.response s.th seg.psi;
       let dt = seg.duration /. float_of_int samples_per_segment in
       Array.blit s.z_cur 0 s.z_smp 0 k;
       for _ = 1 to samples_per_segment do

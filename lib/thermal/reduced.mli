@@ -20,24 +20,14 @@
 
 type t
 
-(** [of_engine ?modes engine] retains the [modes] slowest eigenmodes of
-    an already-assembled sparse engine (default: enough to cover the
+(** [of_engine ?modes response] retains the [modes] slowest eigenmodes
+    of the sparse engine under [response] (default: enough to cover the
     slowest decade of decay rates among the first [min n 12] computed,
-    at least 4).  Raises [Invalid_argument] if [modes] is outside
+    at least 4).  The ROM evaluators below read their static tier off
+    [response]'s tables, so exact and screening scores share one
+    response build.  Raises [Invalid_argument] if [modes] is outside
     [1, n_nodes]. *)
-val of_engine : ?modes:int -> Sparse_model.t -> t
-
-(** [build ?modes model] is {!of_engine} on the sparse engine of a dense
-    model's spec ({!Sparse_model.of_model}). *)
-val build : ?modes:int -> Model.t -> t
-
-(** [prepare r] forces the reduction's shared static tier (the
-    {!Sparse_response} tables behind the rom evaluators below).  Must be
-    called on the submitting domain before rom scores fan out across a
-    pool: [Lazy] is not domain-safe, and without it the first parallel
-    screened sweep races to force the tables from several workers at
-    once ([Lazy.RacyLazy]).  Idempotent and cheap once forced. *)
-val prepare : t -> unit
+val of_engine : ?modes:int -> Sparse_response.t -> t
 
 (** [n_modes r] is the retained mode count. *)
 val n_modes : t -> int
@@ -70,8 +60,9 @@ val core_temps : t -> state:Linalg.Vec.t -> psi:Linalg.Vec.t -> Linalg.Vec.t
 (** {1 Streaming ROM screening}
 
     Approximate stable-peak scores for two-tier candidate screening:
-    O(n_cores² + k·n_cores) per candidate, zero Krylov work after the
-    shared {!Sparse_response} tables exist.  The API mirrors {!Modal}'s
+    O(n_cores² + k·n_cores) per candidate, zero Krylov work: the
+    static tier reads the {!Sparse_response} tables given to
+    {!of_engine}.  The API mirrors {!Modal}'s
     streaming evaluators ([stable_begin]/[stable_feed]/[stable_solve])
     and runs on per-domain scratch, so pool workers never share partial
     sums.  Scores are approximate — truncated fast modes are treated
@@ -82,8 +73,8 @@ val core_temps : t -> state:Linalg.Vec.t -> psi:Linalg.Vec.t -> Linalg.Vec.t
 val rom_begin : t -> unit
 
 (** [rom_feed r ~duration ~psi] folds one periodic segment into the
-    drive.  Raises [Invalid_argument] on a non-positive duration or a
-    power vector whose arity differs from the engine's core count. *)
+    drive.  Raises [Invalid_argument] unless [duration] is positive
+    and finite, or on a power vector whose arity differs from the engine's core count. *)
 val rom_feed : t -> duration:float -> psi:Linalg.Vec.t -> unit
 
 (** [rom_solve r ~t_p] closes the period-[t_p] fixed point per retained

@@ -17,7 +17,8 @@ type stats = {
    matching expmv tolerance.) *)
 let cg_tol = 1e-13
 
-(* Per-domain scratch, sized to the engine: the streaming feeds below
+(* Per-domain scratch, sized to and owned by the engine
+   ([Util.Scratch]): the streaming feeds below
    superpose segment equilibria and accumulate the periodic drive
    without allocating, and two pool workers can never observe each
    other's partial sums.  (The [e^{-dt M}] applications themselves grow
@@ -34,7 +35,7 @@ type scratch = {
      lazily grown Lanczos factorization per core unit response — the
      basis is f-independent, so one preparation serves every duty-cycle
      weight evaluated against it.  Krylov.prepared is mutable and NOT
-     domain-safe, which is exactly why it lives here in DLS. *)
+     domain-safe, which is exactly why it lives here, per domain. *)
   base_cl : float array;  (* nc: psi_low + beta T_amb *)
   base_ch : float array;  (* nc: psi_high + beta T_amb *)
   base_mode : int array;  (* nc: -1 all-low, +1 all-high, 0 interior *)
@@ -63,7 +64,7 @@ type t = {
   apply : Vec.t -> Vec.t;  (* the SPD operator M, shared read-only *)
   core_nodes : int array;  (* node index of each core, shared read-only *)
   c_sqrt_inv_cores : float array;  (* c^{-1/2} at each core's node *)
-  scratch_key : scratch Domain.DLS.key;
+  scratch : scratch Util.Scratch.t;
   superpose_evals : int Atomic.t;
   stable_solves : int Atomic.t;
   base_solves : int Atomic.t;
@@ -72,7 +73,7 @@ type t = {
 
 let build_count = Atomic.make 0
 
-let build engine =
+let make engine =
   let n = Sparse_model.n_nodes engine in
   let nc = Sparse_model.n_cores engine in
   let spec = Sparse_model.spec engine in
@@ -114,8 +115,8 @@ let build engine =
     apply = Sparse.spmv (Sparse_model.operator engine);
     core_nodes = spec.Spec.core_nodes;
     c_sqrt_inv_cores = Array.map c_sqrt_inv_at spec.Spec.core_nodes;
-    scratch_key =
-      Domain.DLS.new_key (fun () ->
+    scratch =
+      Util.Scratch.make (fun () ->
           {
             d = Array.make n 0.;
             y_eq = Array.make n 0.;
@@ -135,41 +136,6 @@ let build engine =
     base_solves = Atomic.make 0;
     delta_evals = Atomic.make 0;
   }
-
-(* Engines are cached per sparse engine (physical identity): the
-   unit-response build costs n_cores + 1 CG solves, and every policy
-   evaluation on a platform wants the same tables.  Bounded FIFO like
-   [Modal.make]'s registry; an evicted entry keeps working for holders
-   of the old reference, it just stops being shared. *)
-let engines_capacity = 16
-let engines_lock = Mutex.create ()
-
-let engines : (Sparse_model.t * t) list ref =
-  ref [] [@@fosc.guarded "mutex"] (* engines_lock *)
-
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
-let make engine =
-  Mutex.lock engines_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock engines_lock)
-    (fun () ->
-      match List.find_opt (fun (e, _) -> e == engine) !engines with
-      | Some (_, resp) -> resp
-      | None ->
-          (* Built under the lock: serializing first use per engine keeps
-             exactly one response table (one stats stream) per platform.
-             The batch solve inside runs on the engine's pool; nested
-             submissions degrade to inline execution, so holding the lock
-             cannot deadlock the pool — and [Fun.protect] releases it if
-             the CG batch raises, so a failed build never wedges every
-             later [make]. *)
-          let resp = build engine in
-          engines := (engine, resp) :: take (engines_capacity - 1) !engines;
-          resp)
 
 let engine t = t.engine
 let n_nodes t = t.n
@@ -243,12 +209,17 @@ let steady_peak t psi =
     for i = 0 to t.nc - 1 do
       acc := !acc +. ((psi.(i) +. t.beta_tamb) *. Array.unsafe_get row i)
     done;
-    if !acc > !best then best := !acc
+    if !acc > !best || Float.is_nan !acc then best := !acc
   done;
   !best +. t.ambient
 
+(* [not (dt > 0.)], not [dt <= 0.]: NaN fails every comparison. *)
+let check_duration who ~zero_ok dt =
+  if not ((if zero_ok then dt >= 0. else dt > 0.) && dt < Float.infinity) then
+    invalid_arg (Printf.sprintf "Sparse_response.%s: bad duration %g" who dt)
+
 let step t ~dt ~state ~psi =
-  if dt < 0. then invalid_arg "Sparse_response.step: negative duration";
+  check_duration "step" ~zero_ok:true dt;
   if Vec.dim state <> t.n then
     invalid_arg "Sparse_response.step: state arity mismatch";
   Sparse_model.advance t.engine ~dt ~y_inf:(y_inf t psi) state
@@ -256,13 +227,12 @@ let step t ~dt ~state ~psi =
 (* --------------------------------------- streaming stable-status path *)
 
 let stable_begin t =
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Scratch.get t.scratch in
   Array.fill s.d 0 t.n 0.
 
 let stable_feed t ~duration ~psi =
-  if duration <= 0. then
-    invalid_arg "Sparse_response.stable_feed: non-positive duration";
-  let s = Domain.DLS.get t.scratch_key in
+  check_duration "stable_feed" ~zero_ok:false duration;
+  let s = Util.Scratch.get t.scratch in
   y_inf_into t s.y_eq psi;
   (* d <- y_eq + e^{-dt M} (d - y_eq): the same affine fold
      Sparse_model.stable_start performs, with the equilibrium superposed
@@ -271,9 +241,8 @@ let stable_feed t ~duration ~psi =
   Array.blit d' 0 s.d 0 t.n
 
 let stable_solve t ~t_p =
-  if not (t_p > 0.) then
-    invalid_arg "Sparse_response.stable_solve: non-positive period";
-  let s = Domain.DLS.get t.scratch_key in
+  check_duration "stable_solve" ~zero_ok:false t_p;
+  let s = Util.Scratch.get t.scratch in
   Atomic.incr t.stable_solves;
   (* One Lanczos basis on the accumulated drive evaluates the matrix
      function (I - e^{-T_p M})^{-1} directly — candidate-local and
@@ -346,15 +315,14 @@ let get_basis t (s : scratch) i =
       b
 
 let base_begin t ~t_p =
-  if t_p <= 0. then
-    invalid_arg "Sparse_response.base_begin: non-positive period";
-  let s = Domain.DLS.get t.scratch_key in
+  check_duration "base_begin" ~zero_ok:false t_p;
+  let s = Util.Scratch.get t.scratch in
   s.base_t_p <- t_p;
   s.base_ready <- false;
   Array.fill s.base_mode 0 t.nc min_int
 
 let base_feed t ~core ~psi_low ~psi_high ~high_ratio =
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Scratch.get t.scratch in
   if s.base_t_p <= 0. then
     invalid_arg "Sparse_response.base_feed: no base_begin on this domain";
   if core < 0 || core >= t.nc then
@@ -366,7 +334,7 @@ let base_feed t ~core ~psi_low ~psi_high ~high_ratio =
   s.base_ll.(core) <- ll
 
 let base_solve t =
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Scratch.get t.scratch in
   if s.base_t_p <= 0. then
     invalid_arg "Sparse_response.base_solve: no base_begin on this domain";
   for i = 0 to t.nc - 1 do
@@ -449,7 +417,7 @@ let delta_nodes t (s : scratch) ~core ~psi_low ~psi_high ~high_ratio =
   Atomic.incr t.delta_evals
 
 let delta_solve t ~core ~psi_low ~psi_high ~high_ratio =
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Scratch.get t.scratch in
   delta_nodes t s ~core ~psi_low ~psi_high ~high_ratio;
   (* Full-vector variant for differential tests: recompute the delta's
      whole node image through the same prepared basis. *)
@@ -466,7 +434,7 @@ let delta_solve t ~core ~psi_low ~psi_high ~high_ratio =
   Array.mapi (fun j wj -> s.y_base.(j) +. wj) w
 
 let delta_peak t ~core ~psi_low ~psi_high ~high_ratio =
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Scratch.get t.scratch in
   delta_nodes t s ~core ~psi_low ~psi_high ~high_ratio;
   let best = ref neg_infinity in
   for k = 0 to t.nc - 1 do
@@ -482,7 +450,7 @@ let delta_peak t ~core ~psi_low ~psi_high ~high_ratio =
 let delta_core_temp t ~at ~core ~psi_low ~psi_high ~high_ratio =
   if at < 0 || at >= t.nc then
     invalid_arg "Sparse_response.delta_core_temp: core index out of range";
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Scratch.get t.scratch in
   delta_nodes t s ~core ~psi_low ~psi_high ~high_ratio;
   t.c_sqrt_inv_cores.(at)
   *. (s.y_base.(t.core_nodes.(at)) +. s.w_nodes.(at))
@@ -507,7 +475,7 @@ let peak_scan t ~samples_per_segment profile =
     invalid_arg "Sparse_response: non-positive sample count";
   let y = ref (stable_start t profile) in
   let best = ref (Sparse_model.max_core_temp t.engine !y) in
-  let s_scr = Domain.DLS.get t.scratch_key in
+  let s_scr = Util.Scratch.get t.scratch in
   List.iter
     (fun (s : Matex.segment) ->
       let y_inf = s_scr.y_eq in

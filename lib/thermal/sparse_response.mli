@@ -36,14 +36,11 @@ type stats = {
   delta_evals : int;  (** Delta candidate evaluations. *)
 }
 
-(** [build eng] solves the unit responses and assembles the tables —
+(** [make eng] solves the unit responses and assembles the tables —
     [n_cores + 1] preconditioned CG solves fanned across the engine's
-    pool.  Prefer {!make}, which shares the result per engine. *)
-val build : Sparse_model.t -> t
-
-(** [make eng] is the memoized {!build}: one response engine per sparse
-    engine (physical identity), so every evaluation context on a
-    platform superposes over identical tables. *)
+    pool.  Each call builds a new response engine; hold it (as
+    [Core.Eval] does, sharing it with the {!Reduced} screening model)
+    to reuse the tables.  Its per-domain scratch dies with it. *)
 val make : Sparse_model.t -> t
 
 (** [engine t] is the sparse engine the responses were solved on. *)
@@ -76,7 +73,8 @@ val steady_core_temps : t -> Linalg.Vec.t -> Linalg.Vec.t
 val steady_peak : t -> Linalg.Vec.t -> float
 
 (** [step t ~dt ~state ~psi] — exact LTI advance with a superposed
-    equilibrium: one [expmv], no CG. *)
+    equilibrium: one [expmv], no CG.  Raises [Invalid_argument] unless
+    [dt] is non-negative and finite. *)
 val step : t -> dt:float -> state:Linalg.Vec.t -> psi:Linalg.Vec.t -> Linalg.Vec.t
 
 (** {1 Streaming stable-status evaluation}
@@ -86,14 +84,15 @@ val step : t -> dt:float -> state:Linalg.Vec.t -> psi:Linalg.Vec.t -> Linalg.Vec
     through per-domain scratch (each feed superposes the segment's
     equilibrium allocation-free, then applies one [e^{-dt M}]), then
     solve the fixed point.  Pool workers each see their own scratch
-    through [Domain.DLS], so concurrent candidates never share partial
-    sums. *)
+    ({!Util.Scratch}, owned by the engine), so concurrent candidates
+    never share partial sums. *)
 
 (** [stable_begin t] resets this domain's accumulated drive. *)
 val stable_begin : t -> unit
 
 (** [stable_feed t ~duration ~psi] folds one segment into the drive.
-    Raises [Invalid_argument] on a non-positive duration. *)
+    Raises [Invalid_argument] unless [duration] is positive and finite
+    (NaN included). *)
 val stable_feed : t -> duration:float -> psi:Linalg.Vec.t -> unit
 
 (** [stable_solve t ~t_p] solves the period-[t_p] fixed point from the
@@ -113,7 +112,7 @@ val stable_solve : t -> t_p:float -> Linalg.Vec.t
     candidate, no funmv stream, no new basis.
 
     All state (including the prepared bases, which are mutable and not
-    domain-safe) lives in per-domain [Domain.DLS] scratch, disjoint
+    domain-safe) lives in the engine's per-domain scratch, disjoint
     from the streaming [stable_*] arrays — prepare and evaluate on the
     same domain; exact evaluations interleaved between deltas do not
     disturb the base. *)

@@ -1,10 +1,10 @@
-(* Regression model of Thermal.Reduced's inner lazy tier before this
-   repo adopted the forced-before-parallel contract: a shared record
-   field forced inside a pool closure.  Two workers first-forcing
-   [rom.tables] concurrently raise Lazy.RacyLazy — the exact crash
-   class the real code prevents by calling [Reduced.prepare] on the
-   submitting domain and annotating the field.  fosc-race must flag
-   the unannotated force. *)
+(* Regression model of the lazy tier Thermal.Reduced once kept: a
+   shared record field forced inside a pool closure.  Two workers
+   first-forcing [rom.tables] concurrently raise Lazy.RacyLazy.  The
+   real reduction now receives its response engine when it is built,
+   so no lazy is left to force; this model keeps the detector honest,
+   and fosc-race must flag the unannotated force.
+   *)
 
 module Pool = struct
   let map f xs = List.map f xs

@@ -68,7 +68,7 @@ let dense_engine model = (Thermal.Backend.of_model model, ignore)
 
 let sparse_engine ~pool_size model =
   let pool = Util.Pool.create ~size:pool_size () in
-  let resp = Resp.build (Sp.of_model ~pool model) in
+  let resp = Resp.make (Sp.of_model ~pool model) in
   (Thermal.Backend.of_response resp, fun () -> Util.Pool.shutdown pool)
 
 let delta_parity_prop ~name ~count engine =
@@ -205,7 +205,7 @@ let test_dense_base_survives_exact_evals () =
 
 let test_sparse_base_survives_exact_evals () =
   base_survives_exact_evals
-    (Thermal.Backend.of_response (Resp.build (Sp.of_model model_a)))
+    (Thermal.Backend.of_response (Resp.make (Sp.of_model model_a)))
 
 (* --------------------- margin-0 trajectory = pre-delta loop, bitwise *)
 

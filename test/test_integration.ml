@@ -141,9 +141,7 @@ let test_stable_status_vs_transient_sim () =
   let p = Workload.Configs.platform ~cores:2 ~levels:2 ~t_max:60. in
   let ao = Core.Ao.solve (Core.Eval.create p) in
   let profile =
-    Sched.Peak.profile
-      (Thermal.Backend.of_model p.Core.Platform.model)
-      p.Core.Platform.power ao.Core.Ao.schedule
+    Sched.Peak.profile ~n_cores:2 p.Core.Platform.power ao.Core.Ao.schedule
   in
   let periods =
     Thermal.Trace.periods_to_stable p.Core.Platform.model ~tol:1e-9 profile

@@ -104,10 +104,12 @@ let race_fixture_cases =
     ("r7_bad.cmt", [ (9, "R7") ]);
     ("r8_bad.cmt", [ (11, "R8") ]);
     ("r9_bad.cmt", [ (19, "R9"); (23, "R9") ]);
-    (* Regression guard for the pre-PR Thermal.Reduced shape: a shared
+    (* The same escapes through a [Scratch.get] accessor (Util.Scratch). *)
+    ("r9_scratch.cmt", [ (26, "R9"); (30, "R9") ]);
+    (* Regression guard for the old Thermal.Reduced shape: a shared
        lazy record field forced inside a pool closure (Lazy.RacyLazy
-       class).  The live code now prepares on the submitting domain and
-       annotates the field; this fixture keeps the detector honest. *)
+       class).  The live reduction holds no lazy any more; this fixture
+       keeps the detector honest. *)
     ("lazy_regression.cmt", [ (17, "R8") ]);
     ("clean.cmt", []);
   ]

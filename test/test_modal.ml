@@ -91,7 +91,7 @@ let prop_stable_start_matches model name =
       let rng = Random.State.make [| seed |] in
       let s = random_step_up rng ~n_cores:(Model.n_cores model) ~period:5. in
       let b = Backend.of_model model in
-      let profile = Sched.Peak.profile b pm s in
+      let profile = Sched.Peak.profile ~n_cores:b.n_cores pm s in
       let reference = Matex.stable_start model profile in
       let modal = Modal.of_modal (Modal.make model) (Backend.stable_state b profile) in
       Vec.dist_inf reference modal <= 1e-9)
@@ -104,7 +104,7 @@ let prop_stable_core_temps_match =
       let b = Backend.of_model model3 in
       let via_state =
         Model.core_temps_of_theta model3
-          (Matex.stable_start model3 (Sched.Peak.profile b pm s))
+          (Matex.stable_start model3 (Sched.Peak.profile ~n_cores:b.n_cores pm s))
       in
       let direct = Sched.Peak.stable_end_core_temps b pm s in
       Vec.dist_inf via_state direct <= 1e-9)
@@ -139,7 +139,7 @@ let test_peak_refined_fig2 () =
     (fun i s ->
       let b = Backend.of_model model2 in
       let reference =
-        Matex.peak_refined model2 ~samples_per_segment:32 (Sched.Peak.profile b pm s)
+        Matex.peak_refined model2 ~samples_per_segment:32 (Sched.Peak.profile ~n_cores:b.n_cores pm s)
       in
       let modal = Sched.Peak.of_any_refined b pm ~samples_per_segment:32 s in
       Alcotest.(check (float 1e-9))
@@ -159,7 +159,7 @@ let prop_peak_refined_matches =
       in
       let b = Backend.of_model model3 in
       let reference =
-        Matex.peak_refined model3 ~samples_per_segment:16 (Sched.Peak.profile b pm s)
+        Matex.peak_refined model3 ~samples_per_segment:16 (Sched.Peak.profile ~n_cores:b.n_cores pm s)
       in
       let modal = Sched.Peak.of_any_refined b pm ~samples_per_segment:16 s in
       Float.abs (reference -. modal) <= 1e-9)

@@ -127,11 +127,31 @@ let test_pool_size_invariance () =
 
 (* ----------------------------------------------- engine independence *)
 
+(* A context owns one engine; engines built apart from each other on one
+   model are distinct values that must still answer bit for bit alike. *)
 let test_engine_identity () =
-  Alcotest.(check bool) "make memoizes per model" true
-    (Modal.make model_a == Modal.make model_a);
-  Alcotest.(check bool) "distinct models get distinct engines" true
-    (Modal.make model_a != Modal.make model_b)
+  let ev = Core.Eval.create (Workload.Configs.platform ~cores:3 ~levels:5 ~t_max:80.) in
+  Alcotest.(check bool) "a context returns its one engine" true
+    (Core.Eval.engine ev == Core.Eval.engine ev);
+  let e1 = Modal.make model_a and e2 = Modal.make model_a in
+  Alcotest.(check bool) "each make builds a new engine" true (e1 != e2);
+  let bits x = Int64.bits_of_float x in
+  let rng = Random.State.make [| 5 |] in
+  for i = 1 to 20 do
+    let profile = random_profile rng model_a in
+    let psi = random_psi rng (Model.n_cores model_a) in
+    let peak eng =
+      let b = Backend.of_modal eng in
+      b.max_core_temp (Backend.stable_state b profile)
+    in
+    let tag what = Printf.sprintf "%s %d bitwise equal across engines" what i in
+    Alcotest.(check bool) (tag "stable peak") true (bits (peak e1) = bits (peak e2));
+    Alcotest.(check bool) (tag "steady peak") true
+      (bits (Modal.steady_peak e1 psi) = bits (Modal.steady_peak e2 psi));
+    Alcotest.(check bool) (tag "z_inf") true
+      (Array.for_all2 (fun a b -> bits a = bits b) (Modal.z_inf e1 psi)
+         (Modal.z_inf e2 psi))
+  done
 
 (* Interleaving a streaming evaluation on one engine with complete
    evaluations on another must not disturb the first: each engine owns
@@ -164,24 +184,70 @@ let test_no_cross_contamination () =
 
 (* -------------------------------------------------- stats observability *)
 
+(* Counters belong to the engine that did the work, so they move on the
+   engine a caller holds. *)
 let test_stats_observable () =
   let eng = Modal.make model_a in
+  let b = Backend.of_modal eng in
+  let held_peak profile = b.max_core_temp (Backend.stable_state b profile) in
   let before = Modal.stats eng in
   Alcotest.(check bool) "at least one engine built" true (before.Modal.builds >= 1);
   let rng = Random.State.make [| 11 |] in
   let profile = random_profile rng model_a in
-  ignore (end_peak model_a profile);
+  ignore (held_peak profile);
   let mid = Modal.stats eng in
   Alcotest.(check bool) "superposition evaluations counted" true
     (mid.Modal.superpose_evals > before.Modal.superpose_evals);
   (* Re-evaluating the same profile reuses the same durations: every
      decay/gain lookup after the first pass hits the table. *)
-  ignore (end_peak model_a profile);
+  ignore (held_peak profile);
   let after = Modal.stats eng in
   Alcotest.(check bool) "decay-table hits grow on repeated durations" true
     (after.Modal.exp_hits > mid.Modal.exp_hits);
   Alcotest.(check bool) "no new decay-table misses for repeated durations" true
     (after.Modal.exp_misses = mid.Modal.exp_misses)
+
+(* ------------------------------------------------ engine lifetime *)
+
+(* An engine's per-domain scratch must die with it.  Fresh platforms,
+   each priced once on a pool of two by a Dense and a Sparse context,
+   must leave the live heap where it was: per-engine DLS keys kept every
+   dead engine's decay table (2 * 1024 * n floats) reachable. *)
+let test_scratch_dies_with_engine () =
+  let pool = Util.Pool.create ~size:2 () in
+  let low = Array.make 9 0.6 and high = Array.make 9 1.3 in
+  let job i =
+    let p = Workload.Configs.platform ~cores:9 ~levels:5 ~t_max:80. in
+    List.iter
+      (fun backend ->
+        let ev = Core.Eval.create ~pool ~cache_size:0 ~backend p in
+        ignore
+          (Util.Pool.init ~pool 8 (fun k ->
+               let r = 0.1 +. (0.01 *. float_of_int ((i + k) mod 50)) in
+               Core.Eval.two_mode_peak ev ~period:0.02 ~low ~high
+                 ~high_ratio:(Array.make 9 r))))
+      [ Core.Eval.Dense; Core.Eval.Sparse ]
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  job 0;
+  let before = live () in
+  let jobs = 60 in
+  for i = 1 to jobs do
+    job i
+  done;
+  let grown = live () - before in
+  Util.Pool.shutdown pool;
+  let p = Workload.Configs.platform ~cores:9 ~levels:5 ~t_max:80. in
+  let n = Model.n_nodes p.Core.Platform.model in
+  let scratch_words = 2 * 1024 * n in
+  Alcotest.(check bool)
+    (Printf.sprintf "live heap grew %d words over %d jobs (one scratch: %d)" grown
+       jobs scratch_words)
+    true
+    (grown < jobs * scratch_words / 10)
 
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
@@ -205,4 +271,9 @@ let () =
         ] );
       ( "stats",
         [ Alcotest.test_case "counters observable" `Quick test_stats_observable ] );
+      ( "lifetime",
+        [
+          Alcotest.test_case "dead engines free their scratch" `Quick
+            test_scratch_dies_with_engine;
+        ] );
     ]

@@ -297,7 +297,7 @@ let test_peak_profile_arity_checked () =
   let m = model3 () in
   let s = S.uniform ~period:1. [| 1.0 |] in
   Alcotest.(check bool) "core count mismatch rejected" true
-    (match Peak.profile (dense m) pm s with
+    (match Peak.profile ~n_cores:(Thermal.Model.n_cores m) pm s with
     | exception Invalid_argument _ -> true
     | _ -> false)
 

@@ -54,7 +54,7 @@ let prop_steady_superposition_matches_cg =
       let rng = Random.State.make [| seed |] in
       let model = random_model rng in
       let eng = Sp.of_model model in
-      let resp = Resp.build eng in
+      let resp = Resp.make eng in
       let psi = random_psi rng (Sp.n_cores eng) in
       Vec.dist_inf (Resp.steady_core_temps resp psi) (Sp.steady_core_temps eng psi)
       <= 1e-9
@@ -66,7 +66,7 @@ let prop_y_inf_matches_steady_state =
       let rng = Random.State.make [| seed |] in
       let model = random_model rng in
       let eng = Sp.of_model model in
-      let resp = Resp.build eng in
+      let resp = Resp.make eng in
       let psi = random_psi rng (Sp.n_cores eng) in
       Vec.dist_inf (Resp.y_inf resp psi) (Sp.steady_state eng psi) <= 1e-9)
 
@@ -77,7 +77,7 @@ let prop_streaming_stable_matches_segment_path =
       let rng = Random.State.make [| seed |] in
       let model = random_model rng in
       let eng = Sp.of_model model in
-      let resp = Resp.build eng in
+      let resp = Resp.make eng in
       let profile = random_profile rng (Sp.n_cores eng) in
       let b = Backend.of_response resp in
       Vec.dist_inf (Backend.stable_state b profile) (Sp.stable_start eng profile)
@@ -98,7 +98,7 @@ let prop_step_matches_engine =
       let rng = Random.State.make [| seed |] in
       let model = random_model rng in
       let eng = Sp.of_model model in
-      let resp = Resp.build eng in
+      let resp = Resp.make eng in
       let n = Sp.n_cores eng in
       let psi = random_psi rng n in
       let state =
@@ -122,7 +122,7 @@ let model27 =
 let test_pool_size_determinism () =
   let rng = Random.State.make [| 42 |] in
   let eng = Sp.of_model model27 in
-  let resp = Resp.build eng in
+  let resp = Resp.make eng in
   let profiles =
     Array.init 24 (fun _ -> random_profile rng (Sp.n_cores eng))
   in
@@ -154,7 +154,7 @@ let test_scratch_cross_engine_isolation () =
       (Thermal.Floorplan.grid ~rows:2 ~cols:2 ~core_width:3e-3 ~core_height:3e-3)
   in
   let eng_b = Sp.of_model model_b in
-  let ra = Resp.build eng_a and rb = Resp.build eng_b in
+  let ra = Resp.make eng_a and rb = Resp.make eng_b in
   let pa = random_profile rng (Sp.n_cores eng_a) in
   let pb = random_profile rng (Sp.n_cores eng_b) in
   let expect_a = end_peak ra pa in
@@ -175,10 +175,26 @@ let test_scratch_cross_engine_isolation () =
   Alcotest.(check bool) "engine B undisturbed by interleaved A feeds" true
     (Float.equal (Sp.max_core_temp eng_b zb) expect_b)
 
+(* A Sparse context builds one response engine and shares it between its
+   backend and its screening model: forcing both, and scoring through
+   both, must add exactly one build to the process-wide count. *)
 let test_make_is_memoized () =
-  let eng = Sp.of_model model27 in
-  Alcotest.(check bool) "make returns one engine per sparse engine" true
-    (Resp.make eng == Resp.make eng)
+  let builds () = (Resp.stats (Resp.make (Sp.of_model model27))).Resp.builds in
+  let p = Workload.Configs.platform ~cores:3 ~levels:5 ~t_max:80. in
+  let ev = Core.Eval.create ~cache_size:0 ~backend:Core.Eval.Sparse ~screen_margin:0.5 p in
+  let period = 0.05 and low = Array.make 3 0.6 and high = Array.make 3 1.3 in
+  let high_ratio = Array.make 3 0.5 in
+  let before = builds () in
+  ignore (Core.Eval.backend ev);
+  Alcotest.(check bool) "screening on" true (Option.is_some (Core.Eval.screening ev));
+  ignore (Core.Eval.two_mode_peak ev ~period ~low ~high ~high_ratio);
+  ignore (Core.Eval.rom_two_mode_peak ev ~period ~low ~high ~high_ratio);
+  match Core.Eval.sparse_response_stats ev with
+  | None -> Alcotest.fail "response engine not built"
+  | Some r ->
+      (* [before] itself counted one build (the probe engine). *)
+      Alcotest.(check int) "one response build for backend and ROM" 1
+        (r.Resp.builds - before)
 
 (* ------------------------------------------- ROM screening soundness *)
 
@@ -196,7 +212,7 @@ let prop_screened_search_equals_exhaustive =
       let cols = 2 + Random.State.int rng (Stdlib.min 7 ((64 / rows) - 1)) in
       let spec = Thermal.Grid_model.sheet_spec ~rows ~cols () in
       let eng = Sp.of_spec spec in
-      let rom = Reduced.of_engine eng in
+      let rom = Reduced.of_engine (Resp.make eng) in
       let nc = Sp.n_cores eng in
       let n_cand = 8 + Random.State.int rng 9 in
       let candidates =
@@ -440,9 +456,7 @@ let test_scan_rejects_bad_samples () =
   let p = sheet2 () in
   let sp = Sp.of_model p.Core.Platform.model in
   let profile =
-    Sched.Peak.profile
-      (Core.Eval.backend (Core.Eval.create ~backend:Core.Eval.Sparse p))
-      p.Core.Platform.power
+    Sched.Peak.profile ~n_cores:(Core.Platform.n_cores p) p.Core.Platform.power
       (shifted_schedule (Core.Platform.n_cores p))
   in
   raises "Sparse_model.peak_scan samples 0" (fun () ->
@@ -451,6 +465,38 @@ let test_scan_rejects_bad_samples () =
       Sp.peak_refined sp ~samples_per_segment:0 profile);
   raises "Sparse_model.peak_refined tol nan" (fun () ->
       Sp.peak_refined sp ~tol:Float.nan profile)
+
+(* NaN must never read as a temperature: both engines reject NaN and
+   infinite durations at every streaming entry, and a NaN state reads as
+   a NaN peak, not -inf (which a [peak <= t_max] test would accept). *)
+let test_nan_rejected () =
+  let p = sheet2 () in
+  let n = Core.Platform.n_cores p in
+  let psi = Array.make n 5. in
+  let model = p.Core.Platform.model in
+  List.iter
+    (fun (name, (b : Backend.t)) ->
+      let state = b.ambient_state () in
+      List.iter
+        (fun dt ->
+          let tag what = Printf.sprintf "%s %s %g" name what dt in
+          raises (tag "step dt") (fun () -> b.step ~dt ~state ~psi);
+          raises (tag "step_into dt") (fun () ->
+              b.step_into ~dt ~state ~psi ~dst:(b.ambient_state ()));
+          raises (tag "stable_state duration") (fun () ->
+              Backend.stable_state b
+                [ { Matex.duration = 0.01; psi }; { Matex.duration = dt; psi } ]);
+          raises (tag "base_begin t_p") (fun () -> b.base_begin ~t_p:dt))
+        [ Float.nan; Float.infinity; -1. ];
+      let bad = Array.make (Array.length state) Float.nan in
+      Alcotest.(check bool) (name ^ " NaN state reads as a NaN peak") true
+        (Float.is_nan (b.max_core_temp bad));
+      Alcotest.(check bool) (name ^ " NaN power reads as a NaN steady peak") true
+        (Float.is_nan (b.steady_peak (Array.make n Float.nan))))
+    [
+      ("dense", Backend.of_model model);
+      ("sparse", Backend.of_response (Resp.make (Sp.of_model model)));
+    ]
 
 (* The one engine-generic refinement ([Sched.Peak.of_any_refined]) against
    each engine's oracle: the theta-space [Matex.peak_refined] for the
@@ -471,7 +517,7 @@ let test_refined_matches_oracles () =
   let sparse = Backend.of_response (Resp.make (Sp.of_model model)) in
   List.iteri
     (fun i s ->
-      let profile = Sched.Peak.profile dense pm s in
+      let profile = Sched.Peak.profile ~n_cores:dense.n_cores pm s in
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "schedule %d: dense refine = Matex.peak_refined" i)
         (Matex.peak_refined model ~samples_per_segment:16 profile)
@@ -547,6 +593,8 @@ let () =
             test_refined_rejects_bad_tol;
           Alcotest.test_case "samples < 1 raises, both engines" `Quick
             test_scan_rejects_bad_samples;
+          Alcotest.test_case "NaN durations and states, both engines" `Quick
+            test_nan_rejected;
         ] );
       ( "oracles",
         [

@@ -520,10 +520,14 @@ let test_time_to_threshold_monotone_in_threshold () =
 
 (* -------------------------------------------------------------- reduced *)
 
+let reduced ~modes m =
+  Thermal.Reduced.of_engine ~modes
+    (Thermal.Sparse_response.make (Thermal.Sparse_model.of_model m))
+
 let test_reduced_exact_at_steady_state () =
   let g = Thermal.Grid_model.build ~subdivisions:3 grid3 in
   let m = g.Thermal.Grid_model.model in
-  let r = Thermal.Reduced.build ~modes:6 m in
+  let r = reduced ~modes:6 m in
   let psi = Thermal.Grid_model.expand_powers g (psi_vec [| 1.3; 0.6; 1.0 |]) in
   Alcotest.(check bool) "DC exact by construction" true
     (Vec.approx_equal ~tol:1e-9
@@ -546,7 +550,7 @@ let test_reduced_tracks_full_transient () =
   (* This model's spectrum is compact (time constants 21..208 ms, no
      sharp timescale gap), so keep 2/3 of the modes; the interesting
      point is that the 27-node fine grid then steps at 18-mode cost. *)
-  let r = Thermal.Reduced.build ~modes:18 m in
+  let r = reduced ~modes:18 m in
   let psi = Thermal.Grid_model.expand_powers g (psi_vec [| 1.3; 1.3; 0.6 |]) in
   (* Compare trajectories from ambient at schedule-scale steps. *)
   let theta = ref (Vec.zeros (Model.n_nodes m)) in
@@ -568,7 +572,7 @@ let test_reduced_more_modes_more_accurate () =
   let m = g.Thermal.Grid_model.model in
   let psi = Thermal.Grid_model.expand_powers g (psi_vec [| 1.3; 0.6; 0.6 |]) in
   let error k =
-    let r = Thermal.Reduced.build ~modes:k m in
+    let r = reduced ~modes:k m in
     let theta = Model.step m ~dt:0.05 ~theta:(Vec.zeros (Model.n_nodes m)) ~psi in
     let state = Thermal.Reduced.step r ~dt:0.05 ~state:(Thermal.Reduced.ambient_state r) ~psi in
     Vec.dist_inf (Model.core_temps_of_theta m theta)
@@ -580,11 +584,11 @@ let test_reduced_more_modes_more_accurate () =
 let test_reduced_validation () =
   let m = model3 () in
   Alcotest.(check bool) "zero modes rejected" true
-    (match Thermal.Reduced.build ~modes:0 m with
+    (match reduced ~modes:0 m with
     | exception Invalid_argument _ -> true
     | _ -> false);
   Alcotest.(check bool) "too many modes rejected" true
-    (match Thermal.Reduced.build ~modes:99 m with
+    (match reduced ~modes:99 m with
     | exception Invalid_argument _ -> true
     | _ -> false)
 

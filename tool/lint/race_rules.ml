@@ -17,8 +17,8 @@
        Waiver: [@fosc.forced_before_parallel] on the lazy's binding,
        on the record field it lives in, or on the force expression —
        asserting the submitting domain forces it first.
-   R9  values read from [Domain.DLS.get] scratch must not escape the
-       domain: no stores into non-DLS shared structures and no
+   R9  values read from [Domain.DLS.get] or [Util.Scratch.get] scratch
+       must not escape the domain: no stores into non-DLS shared structures and no
        returning scratch from a pool-reachable function.  Waiver:
        [@fosc.dls_ok] on the escaping expression (a documented
        borrow). *)
@@ -340,6 +340,11 @@ module IdSet = Set.Make (struct
   let compare = Ident.compare
 end)
 
+(* Reads that hand back this domain's scratch: a raw DLS slot, or the
+   owner-held slot of [Util.Scratch.get]. *)
+let is_scratch_read f =
+  match head_key f with Some ("DLS.get" | "Scratch.get") -> true | _ -> false
+
 let check_r9 (cg : Callgraph.t) =
   let out = ref [] in
   Callgraph.iter_parallel cg (fun b ->
@@ -349,7 +354,7 @@ let check_r9 (cg : Callgraph.t) =
       let derived_ids = ref IdSet.empty in
       let rec derived (e : Typedtree.expression) =
         match e.exp_desc with
-        | Texp_apply (f, _) when head_key f = Some "DLS.get" -> true
+        | Texp_apply (f, _) when is_scratch_read f -> true
         | Texp_ident (Path.Pident id, _, _) -> IdSet.mem id !derived_ids
         | Texp_field (e', _, _) -> derived e'
         | _ -> false
@@ -377,8 +382,8 @@ let check_r9 (cg : Callgraph.t) =
         out :=
           finding b.source loc "R9"
             (Printf.sprintf
-               "Domain.DLS scratch %s: per-domain scratch escaping its \
-                domain is a data race in waiting; copy it \
+               "per-domain scratch %s: scratch escaping its domain is a \
+                data race in waiting; copy it \
                 (Array.copy/Bytes.copy) or annotate the expression with \
                 [@fosc.dls_ok \"reason\"] if this is a documented borrow"
                what)
